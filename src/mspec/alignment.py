@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArgumentError, ResourceError
-from .group import CharacterIndex, GroupShape
+from .group import CharacterIndex, GroupShape, _rref_mod_p, char_stats
 from .spectral import Spectrum, _as_values
 
 GRAM_CAP = 4096
@@ -59,42 +59,25 @@ def _type_histograms(shape: GroupShape) -> np.ndarray:
     return np.stack(cols, axis=1)
 
 
-def _class_size(shape: GroupShape, hist_row) -> int:
-    size = 1
-    pos = 0
-    for i, p in enumerate(shape.primes):
-        counts = hist_row[pos : pos + p]
-        pos += p
-        block = math.factorial(shape.exponents[i])
-        for m in counts:
-            block //= math.factorial(int(m))
-        size *= block
-    return size
-
-
 def alignment_semidirect(spec: Spectrum, shape: GroupShape | None = None) -> AlignmentResult:
     """max over digit-permutation orbit types of (orbit size)^-1 times the
     spectral mass carried by the type."""
     shape = shape or spec.shape
     power = np.abs(spec.coeffs) ** 2
     hists = _type_histograms(shape)
-    uniq, inverse = np.unique(hists, axis=0, return_inverse=True)
+    _, first, inverse = np.unique(hists, axis=0, return_index=True,
+                                  return_inverse=True)
     inverse = inverse.reshape(-1)
-    masses = np.bincount(inverse, weights=power, minlength=uniq.shape[0])
+    masses = np.bincount(inverse, weights=power, minlength=first.shape[0])
     best_value = -1.0
-    best_row = None
-    for row in range(uniq.shape[0]):
-        value = masses[row] / _class_size(shape, uniq[row])
+    best_type = None
+    for row in range(first.shape[0]):
+        _, ttuple, class_size = char_stats(CharacterIndex.from_flat(first[row], shape), shape)
+        value = masses[row] / class_size
         if value > best_value + 1e-18:
             best_value = value
-            best_row = row
-    # report the type as per-block count tuples
-    witness = []
-    pos = 0
-    for p in shape.primes:
-        witness.append(tuple(int(m) for m in uniq[best_row][pos : pos + p]))
-        pos += p
-    return AlignmentResult(float(best_value), tuple(witness), "semidirect")
+            best_type = ttuple
+    return AlignmentResult(float(best_value), best_type, "semidirect")
 
 
 class SubgroupSpec:
@@ -112,7 +95,7 @@ class SubgroupSpec:
             if self.generators else np.zeros((0, shape.d), dtype=np.int8)
         self._gen_digits = gen_digits.astype(np.int64)
         self.block_ranks = tuple(
-            _fp_rank(self._gen_digits[:, shape.block_slices[i]] % p, p)
+            _rref_mod_p(self._gen_digits[:, shape.block_slices[i]], p)[1]
             for i, p in enumerate(shape.primes)
         )
         self.subgroup_order = 1
@@ -138,30 +121,6 @@ class SubgroupSpec:
                 key += res[:, c] * mult
                 mult *= p
         return key
-
-
-def _fp_rank(matrix: np.ndarray, p: int) -> int:
-    m = matrix.copy() % p
-    rows, cols = m.shape
-    rank = 0
-    for col in range(cols):
-        pivot = None
-        for row in range(rank, rows):
-            if m[row, col] % p:
-                pivot = row
-                break
-        if pivot is None:
-            continue
-        m[[rank, pivot]] = m[[pivot, rank]]
-        inv = pow(int(m[rank, col]), -1, p)
-        m[rank] = (m[rank] * inv) % p
-        for row in range(rows):
-            if row != rank and m[row, col]:
-                m[row] = (m[row] - m[row, col] * m[rank]) % p
-        rank += 1
-        if rank == rows:
-            break
-    return rank
 
 
 def alignment_subgroup(spec: Spectrum, shape: GroupShape,

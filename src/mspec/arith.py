@@ -221,16 +221,19 @@ def dump_table(table: ArithmeticTable, path: str) -> None:
 
 def load_table(path: str) -> ArithmeticTable:
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _MAGIC:
-            raise ArgumentError(f"bad magic {magic!r}; not a table dump")
-        (code,) = struct.unpack("<B3x", fh.read(4))
-        (limit,) = struct.unpack("<Q", fh.read(8))
+        header = fh.read(16)
+        if header[:4] != _MAGIC or len(header) < 16:
+            raise ArgumentError(f"bad magic or short header {header!r}; not a table dump")
+        code, limit = struct.unpack("<B3xQ", header[4:])
+        if code >= len(KINDS):
+            raise ArgumentError(f"unknown kind code {code} in table dump")
         kind = KINDS[code]
-        if kind == "von_mangoldt":
-            values = np.frombuffer(fh.read(8 * limit), dtype="<f8").copy()
-        else:
-            values = np.frombuffer(fh.read(limit), dtype=np.int8).copy()
+        dtype = np.dtype("<f8" if kind == "von_mangoldt" else np.int8)
+        payload = fh.read()
+    if len(payload) != dtype.itemsize * limit:
+        raise ArgumentError(f"table dump holds {len(payload)} payload bytes; its "
+                            f"header says {limit} entries of {dtype.itemsize} bytes")
+    values = np.frombuffer(payload, dtype=dtype).copy()
     if kind == "von_mangoldt":
         # pairs are reconstructed rather than stored
         rebuilt = sieve(kind, limit)

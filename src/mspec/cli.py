@@ -84,10 +84,15 @@ def _add_common(p: argparse.ArgumentParser, shape=True, function=True):
     p.add_argument("--seed", type=int, default=0, help="RNG seed (u64)")
     p.add_argument("--out", help="write the JSON run record here")
     p.add_argument("--plot-data", dest="plot_data", help="CSV output path")
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker hint; results do not depend on it")
     p.add_argument("--mem-cap", dest="mem_cap", type=int,
                    help="override the table memory cap (entries)")
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _write_plot(path: str, header: list, rows: list) -> None:
@@ -102,8 +107,8 @@ def _write_plot(path: str, header: list, rows: list) -> None:
 
 
 def _cmd_sieve(args):
-    values = _function_values(args.function, args.limit)
     table = sieve(_FUNCTION_ALIASES[args.function], args.limit)
+    values = table.values.astype(np.float64)
     if args.dump:
         dump_table(table, args.dump)
     result = {
@@ -205,6 +210,9 @@ def _cmd_bounds_check(args):
     elif args.check == "l1":
         result = {"l1_norm": char_l1_norm(a, shape)}
     elif args.check == "ap":
+        for flag in ("gamma", "residues"):
+            if getattr(args, flag) is None:
+                raise ArgumentError(f"--check ap needs --{flag}")
         gamma = [int(g) for g in args.gamma.split(",")]
         b = [int(x) for x in args.residues.split(",")]
         result = {"ap_sum": ap_l1_sum(a, shape, gamma, b)}
@@ -305,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectrum", help="full transform with top coefficients")
     _add_common(p)
-    p.add_argument("--top", type=int, default=10)
+    p.add_argument("--top", type=_positive_int, default=10)
     p.set_defaults(handler=_cmd_spectrum)
 
     p = sub.add_parser("correlate", help="single coefficient, streaming")

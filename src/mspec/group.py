@@ -293,21 +293,23 @@ def char_values(a: CharacterIndex, shape: GroupShape | None = None,
                 xs=None) -> np.ndarray:
     """chi_a over xs (all of [0, X) by default), via exact root tables."""
     shape = shape or a.shape
-    digits = None
+    xs = np.asarray(np.arange(shape.X) if xs is None else xs, dtype=np.int64)
     values = None
-    for i, p in enumerate(shape.primes):
-        s = shape.block_slices[i]
-        ai = np.array(a.digits[s], dtype=np.int64)
-        if not ai.any():
+    for i, (p, b) in enumerate(zip(shape.primes, shape.block_sizes)):
+        ai = a.block(i)
+        if not any(ai):
             continue
-        if digits is None:
-            digits = shape.digits_matrix(xs).astype(np.int64)
-        e = (digits[:, s] @ ai) % p
-        block_vals = roots_of_unity(p)[e]
+        # exponent sum_j a_j x_j, one base-p digit of x mod b at a time
+        rem = xs % b
+        e = np.zeros(xs.shape[0], dtype=np.int64)
+        for t in ai:
+            if t:
+                e += t * (rem % p)
+            rem //= p
+        block_vals = roots_of_unity(p)[e % p]
         values = block_vals if values is None else values * block_vals
     if values is None:
-        n = shape.X if xs is None else len(np.asarray(xs))
-        return np.ones(n, dtype=np.complex128)
+        return np.ones(xs.shape[0], dtype=np.complex128)
     return values
 
 
@@ -323,6 +325,32 @@ def char_stats(a: CharacterIndex, shape: GroupShape | None = None):
             block //= math.factorial(m)
         class_size *= block
     return a.weight, ttuple, class_size
+
+
+def _rref_mod_p(matrix: np.ndarray, p: int):
+    m = matrix.copy() % p
+    rows, cols = m.shape
+    rank = 0
+    pivots = []
+    for col in range(cols):
+        pivot = None
+        for row in range(rank, rows):
+            if m[row, col] % p:
+                pivot = row
+                break
+        if pivot is None:
+            continue
+        m[[rank, pivot]] = m[[pivot, rank]]
+        inv = pow(int(m[rank, col]), -1, p)
+        m[rank] = (m[rank] * inv) % p
+        for row in range(rows):
+            if row != rank and m[row, col]:
+                m[row] = (m[row] - m[row, col] * m[rank]) % p
+        pivots.append(col)
+        rank += 1
+        if rank == rows:
+            break
+    return m, rank, pivots
 
 
 def parse_shape(text: str) -> GroupShape:

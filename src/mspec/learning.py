@@ -15,7 +15,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .arith import primes_up_to
+from . import __version__
+from .arith import primes_up_to, sieve
 from .errors import ArgumentError, ResourceError
 from .group import GroupShape, char_values, CharacterIndex
 from .spectral import group_spectrum
@@ -23,8 +24,6 @@ from .alignment import alignment_full_group, learning_bounds
 
 NGD_X_CAP = 1 << 20
 COVARIANCE_EXPLICIT_CAP = 2000
-
-ARTIFACT_VERSION = "0.1.0"
 
 
 # -- digit embedding and the model ---------------------------------------
@@ -376,20 +375,11 @@ def csq_bad_event_rate(orbit_target, shape: GroupShape, learner_factory,
 # -- binary multiplicative class and its covariance ----------------------
 
 
-def _square_indicator(limit: int) -> np.ndarray:
-    out = np.zeros(limit + 1, dtype=np.float64)
-    r = 1
-    while r * r <= limit:
-        out[r * r] = 1.0
-        r += 1
-    return out
-
-
 def covariance_matrix(X: int) -> np.ndarray:
     """C[m, n] = 1_sq(m n) - 1_sq(m) 1_sq(n) on indices 1..X."""
     if X > COVARIANCE_EXPLICIT_CAP:
         raise ResourceError(f"X = {X} exceeds the dense cap {COVARIANCE_EXPLICIT_CAP}")
-    sq = _square_indicator(X * X)
+    sq = sieve("square_indicator", X * X + 1).values.astype(np.float64)
     n = np.arange(1, X + 1)
     return sq[np.outer(n, n)] - np.outer(sq[n], sq[n])
 
@@ -406,16 +396,6 @@ def eigenvector_indicator(X: int, a: int) -> np.ndarray:
     return v / norm if norm > 0 else v
 
 
-def _squarefree_mask(limit: int) -> np.ndarray:
-    mask = np.ones(limit + 1, dtype=bool)
-    mask[0] = False
-    d = 2
-    while d * d <= limit:
-        mask[d * d :: d * d] = False
-        d += 1
-    return mask
-
-
 def binary_mult_covariance(X: int, mode: str = "formula") -> dict:
     """Spectrum of the centered covariance operator C/X of the class.
 
@@ -426,7 +406,7 @@ def binary_mult_covariance(X: int, mode: str = "formula") -> dict:
         raise ArgumentError(f"X must be >= 2, got {X}")
     op_norm_formula = math.isqrt(X // 2) / X
     if mode == "formula":
-        sf = _squarefree_mask(X)
+        sf = sieve("mobius", X + 1).values != 0
         eigen = [(1, 0.0)]
         for a in range(2, X + 1):
             if sf[a]:
@@ -470,7 +450,7 @@ def sample_binary_multiplicative(X: int, seed: int = 0) -> np.ndarray:
 def append_experiment_log(path: str, config: dict, result: dict) -> None:
     """One JSON line per run, with version and timing fields."""
     record = {
-        "version": ARTIFACT_VERSION,
+        "version": __version__,
         "timestamp": time.time(),
         "config": config,
         "result": {k: v for k, v in result.items()

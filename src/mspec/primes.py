@@ -16,7 +16,7 @@ import numpy as np
 
 from .arith import is_prime, nu_p_weight, primes_up_to, sieve
 from .errors import ArgumentError
-from .group import CharacterIndex, GroupShape, char_values
+from .group import CharacterIndex, GroupShape, _rref_mod_p, char_values
 from .spectral import block_pairwise_sum
 
 
@@ -45,32 +45,6 @@ class LinearDigitMap:
     def apply(self, digits: np.ndarray) -> np.ndarray:
         """L(digits) for a (n, d) digit matrix; returns (n, m) mod p."""
         return (digits.astype(np.int64) @ self.rows.T) % self.p
-
-
-def _rref_mod_p(matrix: np.ndarray, p: int):
-    m = matrix.copy() % p
-    rows, cols = m.shape
-    rank = 0
-    pivots = []
-    for col in range(cols):
-        pivot = None
-        for row in range(rank, rows):
-            if m[row, col] % p:
-                pivot = row
-                break
-        if pivot is None:
-            continue
-        m[[rank, pivot]] = m[[pivot, rank]]
-        inv = pow(int(m[rank, col]), -1, p)
-        m[rank] = (m[rank] * inv) % p
-        for row in range(rows):
-            if row != rank and m[row, col]:
-                m[row] = (m[row] - m[row, col] * m[rank]) % p
-        pivots.append(col)
-        rank += 1
-        if rank == rows:
-            break
-    return m, rank, pivots
 
 
 def make_linear_map(p: int, rows) -> LinearDigitMap:

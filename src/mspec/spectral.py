@@ -1,10 +1,10 @@
 """Fourier analysis on the digit group and on Z/XZ.
 
-Forward transforms carry the 1/X normalization; synthesis carries none.
-Closed-form additive-Fourier coefficients of digital characters are
-assembled from per-digit Dirichlet-kernel factors, which also drive the
-norm-bound checkers, the frequency-truncated characters, and the
-additive-witness search.
+Forward transforms carry the factor 1/X; synthesis carries none.
+The additive-Fourier coefficients of a digital character factor through
+the CRT into one length-p^d DFT per block; those block coefficients
+drive the norm-bound checkers and the frequency-truncated characters.
+A per-digit Dirichlet-kernel closed form gives single coefficients.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -72,7 +72,6 @@ class Spectrum:
 
     shape: GroupShape
     coeffs: np.ndarray
-    normalization: str = "forward_1_over_X"
 
     def __post_init__(self):
         self.coeffs.setflags(write=False)
@@ -126,34 +125,31 @@ def gq(q: int, y: float) -> float:
     """sin(pi q y) / (q sin(pi y)) with the removable singularities filled.
 
     At integer n the limit is (-1)^((q-1) n); in particular 1 at 0.
+    Evaluated at the reduced argument r = y - n, n = round(y), through
+    G_q(n + r) = (-1)^((q-1) n) G_q(r), so precision holds near the poles.
     """
     if q < 2:
         raise ArgumentError(f"q must be >= 2, got {q}")
-    s = math.sin(math.pi * y)
-    if abs(s) > 1e-9:
-        return math.sin(math.pi * q * y) / (q * s)
     n = round(y)
-    return -1.0 if ((q - 1) * n) % 2 else 1.0
+    r = y - n
+    sign = -1.0 if ((q - 1) * n) % 2 else 1.0
+    s = math.sin(math.pi * r)
+    if abs(s) > 1e-9:
+        return sign * math.sin(math.pi * q * r) / (q * s)
+    return sign
 
 
 def _local_coeffs(a_digits, p: int, e: int) -> np.ndarray:
     """Additive-Fourier coefficients of one base-p block character.
 
-    Entry kappa is (1/p^e) sum_x chi(x) e(-kappa x / p^e); the per-digit
-    factorization sum_{u<p} e(beta u)/p avoids kernel singularities.
+    Entry kappa is (1/p^e) sum_x chi(x) e(-kappa x / p^e), the DFT of
+    the character's values over the block.
     """
     b = p**e
     if b > BLOCK_CAP:
         raise ResourceError(f"block size {b} exceeds cap {BLOCK_CAP}")
-    kappa = np.arange(b, dtype=np.float64)
-    out = np.ones(b, dtype=np.complex128)
-    for j in range(e):
-        beta = a_digits[j] / p - kappa / float(p ** (e - j))
-        row = np.zeros(b, dtype=np.complex128)
-        for u in range(p):
-            row += np.exp(2j * np.pi * beta * u)
-        out *= row / p
-    return out
+    block = GroupShape([p], [e])
+    return np.fft.fft(char_values(CharacterIndex.from_digits(a_digits, block), block)) / b
 
 
 def _local_kprime(shape: GroupShape, i: int, k: int) -> int:

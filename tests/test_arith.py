@@ -123,3 +123,28 @@ def test_dump_load_roundtrip(tmp_path):
         with open(bad, "wb") as fh:
             fh.write(b"NOPE" + b"\x00" * 16)
         load_table(bad)
+
+
+def test_load_rejects_truncated_dump(tmp_path):
+    path = str(tmp_path / "mobius.bin")
+    dump_table(sieve("mobius", 1000), path)
+    with open(path, "rb") as fh:
+        data = fh.read()
+    for cut in (data[:500], data[:10], data + b"\x00"):
+        bad = str(tmp_path / "cut.bin")
+        with open(bad, "wb") as fh:
+            fh.write(cut)
+        with pytest.raises(ArgumentError):
+            load_table(bad)
+
+
+def test_load_rejects_unknown_kind(tmp_path):
+    path = str(tmp_path / "mobius.bin")
+    dump_table(sieve("mobius", 100), path)
+    with open(path, "rb") as fh:
+        data = bytearray(fh.read())
+    data[4] ^= 0xFF
+    with open(path, "wb") as fh:
+        fh.write(data)
+    with pytest.raises(ArgumentError, match="kind"):
+        load_table(path)

@@ -118,6 +118,22 @@ def test_bounds_check_cli(capsys):
     assert code == 0 and rec["result"]["sum"] > 0
 
 
+def test_bounds_check_ap_missing_flag(capsys):
+    base = ["bounds-check", "--shape", "3^5", "--char", "7", "--check", "ap"]
+    assert run_command(base + ["--residues", "0"]) == 2
+    assert "--gamma" in capsys.readouterr().err
+    assert run_command(base + ["--gamma", "0"]) == 2
+    assert "--residues" in capsys.readouterr().err
+    code, rec = run_json(base + ["--gamma", "0", "--residues", "0"], capsys)
+    assert code == 0 and rec["result"]["ap_sum"] > 0
+
+
+def test_top_must_be_positive(capsys):
+    for top in ("0", "-3"):
+        assert run_command(["spectrum", "--shape", "2^4", "--top", top]) == 2
+        assert capsys.readouterr().out == ""
+
+
 def test_katai_cli(capsys):
     code, rec = run_json(["katai", "--shape", "3^5", "--function", "mobius"],
                          capsys)

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mspec import (
     CharacterIndex,
@@ -26,6 +26,7 @@ from mspec import (
 from mspec.errors import ArgumentError, ResourceError
 from mspec.spectral import (
     Spectrum,
+    _local_coeffs,
     block_pairwise_sum,
     dump_spectrum,
     dump_spectrum_csv,
@@ -144,6 +145,7 @@ def test_gq_examples():
 
 @settings(max_examples=100)
 @given(st.floats(-2.0, 2.0, allow_nan=False), st.sampled_from([2, 3, 5, 7]))
+@example(-1.714318631004983, 7)
 def test_gq_partition_of_unity(y, q):
     total = sum(gq(q, y - ell / q) ** 2 for ell in range(q))
     # cancellation near the sine poles costs a couple of ulps beyond 1e-12
@@ -198,6 +200,26 @@ def test_closed_form_matches_direct_dft():
                 mag, val = char_dft_closed_form(a, k, s)
                 assert abs(mag - abs(dft[k])) < 1e-9
                 assert abs(val - dft[k]) < 1e-9
+
+
+def digit_sum_block_coeffs(a_digits, p, e):
+    # per-digit factorization: prod_j (1/p) sum_{u<p} e(beta_j u)
+    b = p**e
+    kappa = np.arange(b, dtype=np.float64)
+    out = np.ones(b, dtype=np.complex128)
+    for j in range(e):
+        beta = a_digits[j] / p - kappa / float(p ** (e - j))
+        out *= np.exp(2j * np.pi * np.outer(beta, np.arange(p))).sum(axis=1) / p
+    return out
+
+
+def test_block_coeffs_match_digit_sum():
+    for p, e in [(2, 8), (3, 5), (5, 3), (7, 2)]:
+        s = GroupShape([p], [e])
+        for aflat in range(s.X):
+            digits = CharacterIndex.from_flat(aflat, s).digits
+            ref = digit_sum_block_coeffs(digits, p, e)
+            assert np.abs(_local_coeffs(digits, p, e) - ref).max() < 2e-12
 
 
 def test_l1_examples():
