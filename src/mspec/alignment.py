@@ -65,9 +65,16 @@ def alignment_semidirect(spec: Spectrum, shape: GroupShape | None = None) -> Ali
     shape = shape or spec.shape
     power = np.abs(spec.coeffs) ** 2
     hists = _type_histograms(shape)
-    _, first, inverse = np.unique(hists, axis=0, return_index=True,
-                                  return_inverse=True)
-    inverse = inverse.reshape(-1)
+    # group equal rows by a stable lexicographic sort (column 0 most
+    # significant), as np.unique(axis=0) orders them; the columns together
+    # can overflow a packed int64 key
+    order = np.lexsort(hists.T[::-1])
+    ranked = hists[order]
+    new = np.ones(order.shape[0], dtype=bool)
+    new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    first = order[new]
+    inverse = np.empty_like(order)
+    inverse[order] = np.cumsum(new) - 1
     masses = np.bincount(inverse, weights=power, minlength=first.shape[0])
     best_value = -1.0
     best_type = None

@@ -27,7 +27,8 @@ _MAGIC = b"MSPC"
 
 
 def memory_cap() -> int:
-    """Table-entry cap, overridable through MSPC_MEM_CAP (in bytes)."""
+    """Largest table, in table entries, that sieve builds; MSPC_MEM_CAP
+    overrides it in the same unit."""
     env = os.environ.get("MSPC_MEM_CAP")
     if env is not None:
         return int(env)

@@ -85,7 +85,7 @@ def _add_common(p: argparse.ArgumentParser, shape=True, function=True):
     p.add_argument("--out", help="write the JSON run record here")
     p.add_argument("--plot-data", dest="plot_data", help="CSV output path")
     p.add_argument("--mem-cap", dest="mem_cap", type=int,
-                   help="override the table memory cap (entries)")
+                   help="override the memory cap, in table entries")
 
 
 def _positive_int(text: str) -> int:

@@ -142,9 +142,20 @@ class GroupShape:
         return out
 
     def flat_index_of(self, xs) -> np.ndarray:
-        """Character-layout flat index of the digit vectors of xs."""
-        digits = self.digits_matrix(xs).astype(np.int64)
-        return digits @ self.digit_strides
+        """Character-layout flat index of the digit vectors of xs.
+
+        Block i's digits are those of x mod b_i and sit at consecutive
+        little-endian positions, so the index is sum_i (x mod b_i) * B_i
+        with B_i the stride of the block's first digit.
+        """
+        xs = np.arange(self.X, dtype=np.int64) if xs is None else np.asarray(xs, dtype=np.int64)
+        out = np.zeros(xs.shape[0], dtype=np.int64)
+        rem = np.empty_like(out)
+        for b, s in zip(self.block_sizes, self.block_slices):
+            np.remainder(xs, b, out=rem)
+            rem *= self.digit_strides[s.start]
+            out += rem
+        return out
 
     def char_digits_matrix(self, indices=None) -> np.ndarray:
         """(n, d) digit matrix of flat character indices (mixed radix).
@@ -175,15 +186,19 @@ class GroupShape:
 
     def translation(self, g: int, xs=None) -> np.ndarray:
         """Vector of g + x (digitwise) over xs, as integers."""
-        if xs is None:
-            xs = np.arange(self.X, dtype=np.int64)
-        else:
-            xs = np.asarray(xs, dtype=np.int64)
-        gd = self.digits_matrix(np.array([g]))[0].astype(np.int64)
-        digits = self.digits_matrix(xs).astype(np.int64)
-        digits += gd
-        digits %= self.digit_primes
-        return (digits @ self._decode_weights()) % self.X
+        xs = np.arange(self.X, dtype=np.int64) if xs is None else np.asarray(xs, dtype=np.int64)
+        weights = self._decode_weights()
+        out = np.zeros(xs.shape[0], dtype=np.int64)
+        col = 0
+        for p, e, b in zip(self.primes, self.exponents, self.block_sizes):
+            rem = xs % b
+            gi = g % b
+            for _ in range(e):
+                out += (rem % p + gi % p) % p * weights[col]
+                rem //= p
+                gi //= p
+                col += 1
+        return out % self.X
 
     def _decode_weights(self) -> np.ndarray:
         # weight of digit (i, j) in the CRT reconstruction, mod X

@@ -29,13 +29,17 @@ _SPECTRUM_MAGIC = b"MSPS"
 
 
 def _as_values(table, X: int) -> np.ndarray:
+    """The table as float64, or complex128 when it is complex; always finite."""
     if isinstance(table, ArithmeticTable):
         values = table.values
     else:
         values = np.asarray(table)
     if values.shape[0] != X:
         raise ArgumentError(f"table length {values.shape[0]} != X = {X}")
-    return values.astype(np.complex128)
+    values = values.astype(np.complex128 if np.iscomplexobj(values) else np.float64)
+    if not np.isfinite(values).all():
+        raise ArgumentError("table holds NaN or infinite values")
+    return values
 
 
 def block_pairwise_sum(arr: np.ndarray) -> complex:
@@ -80,10 +84,32 @@ class Spectrum:
         return complex(self.coeffs[flat_index])
 
 
-def _tensor_axes(shape: GroupShape) -> tuple:
-    # C-order reshape with reversed radices makes the flat index equal
-    # the little-endian character index
-    return tuple(int(p) for p in shape.digit_primes[::-1])
+def _axis_transform(t: np.ndarray, shape: GroupShape, sign: int) -> np.ndarray:
+    """Unnormalized DFT with kernel e(sign * a_j x_j / p_j) along every digit
+    axis of the flat character layout.
+
+    Digit j's axis is the middle one of t.reshape(m, p_j, stride_j).
+    Radix-2 axes (the lowest digits, as 2 is the smallest prime) run first
+    as in-place butterflies, so a real t stays real through them; odd
+    radices contract with the p x p DFT matrix.  t is overwritten; the
+    result is returned.
+    """
+    for j in range(shape.d):
+        p, stride = int(shape.digit_primes[j]), int(shape.digit_strides[j])
+        v = t.reshape(-1, p, stride)
+        if p == 2:
+            a = v[:, 0].copy()
+            v[:, 0] += v[:, 1]
+            np.subtract(a, v[:, 1], out=v[:, 1])
+            continue
+        k = np.arange(p)
+        w = roots_of_unity(p)[(sign * np.outer(k, k)) % p]
+        if stride == 1:
+            t = t.reshape(-1, p) @ w.T
+        else:
+            t = np.matmul(w, v)
+        t = t.reshape(-1)
+    return t
 
 
 def group_spectrum(table, shape: GroupShape, cap: int = SPECTRUM_CAP) -> Spectrum:
@@ -94,21 +120,19 @@ def group_spectrum(table, shape: GroupShape, cap: int = SPECTRUM_CAP) -> Spectru
             "use correlation() for single coefficients"
         )
     values = _as_values(table, shape.X)
-    perm = shape.flat_index_of(None)
-    scattered = np.empty(shape.X, dtype=np.complex128)
-    scattered[perm] = values
-    tensor = scattered.reshape(_tensor_axes(shape))
-    coeffs = np.fft.fftn(tensor).reshape(-1) / shape.X
-    return Spectrum(shape, coeffs)
+    scattered = np.empty_like(values)
+    scattered[shape.flat_index_of(None)] = values
+    del values
+    coeffs = _axis_transform(scattered, shape, -1)
+    coeffs /= shape.X
+    return Spectrum(shape, coeffs.astype(np.complex128, copy=False))
 
 
 def inverse_transform(spec: Spectrum) -> np.ndarray:
     """f(x) = sum_a fhat(a) chi_a(x); exact inverse of group_spectrum."""
     shape = spec.shape
-    tensor = spec.coeffs.reshape(_tensor_axes(shape))
-    scattered = np.fft.ifftn(tensor).reshape(-1) * shape.X
-    perm = shape.flat_index_of(None)
-    return scattered[perm]
+    scattered = _axis_transform(spec.coeffs.copy(), shape, 1)
+    return scattered[shape.flat_index_of(None)]
 
 
 def correlation(table, a: CharacterIndex, shape: GroupShape) -> complex:
@@ -476,11 +500,15 @@ def dump_spectrum(spec: Spectrum, path: str) -> None:
 
 def load_spectrum(path: str, shape: GroupShape) -> Spectrum:
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _SPECTRUM_MAGIC:
-            raise ArgumentError(f"bad magic {magic!r}; not a spectrum dump")
-        (X,) = struct.unpack("<Q", fh.read(8))
+        header = fh.read(12)
+        if header[:4] != _SPECTRUM_MAGIC or len(header) < 12:
+            raise ArgumentError(f"bad magic or short header {header!r}; not a spectrum dump")
+        (X,) = struct.unpack("<Q", header[4:])
         if X != shape.X:
             raise ArgumentError(f"dump is for X={X}, shape has X={shape.X}")
-        pairs = np.frombuffer(fh.read(16 * X), dtype="<f8").reshape(X, 2)
+        payload = fh.read()
+    if len(payload) != 16 * X:
+        raise ArgumentError(f"spectrum dump holds {len(payload)} payload bytes; its "
+                            f"header says {X} coefficients of 16 bytes")
+    pairs = np.frombuffer(payload, dtype="<f8").reshape(X, 2)
     return Spectrum(shape, pairs[:, 0] + 1j * pairs[:, 1])

@@ -9,11 +9,14 @@ from mspec import (
     alignment_gram_oracle,
     alignment_semidirect,
     alignment_subgroup,
+    char_stats,
     char_values,
     group_spectrum,
     learning_bounds,
+    parse_shape,
     sieve,
 )
+from mspec.alignment import _type_histograms
 from mspec.errors import ArgumentError, ResourceError
 
 
@@ -64,6 +67,30 @@ def test_semidirect_below_full():
             spec = group_spectrum(f, s)
             assert alignment_semidirect(spec, s).value \
                 <= alignment_full_group(spec).value + 1e-12
+
+
+def semidirect_reference(spec, shape):
+    """alignment_semidirect with its types grouped by np.unique(axis=0)."""
+    power = np.abs(spec.coeffs) ** 2
+    _, first, inverse = np.unique(_type_histograms(shape), axis=0,
+                                  return_index=True, return_inverse=True)
+    masses = np.bincount(inverse.reshape(-1), weights=power, minlength=first.shape[0])
+    best_value, best_type = -1.0, None
+    for row in range(first.shape[0]):
+        _, ttuple, class_size = char_stats(CharacterIndex.from_flat(first[row], shape), shape)
+        if masses[row] / class_size > best_value + 1e-18:
+            best_value, best_type = masses[row] / class_size, ttuple
+    return float(best_value), best_type
+
+
+@pytest.mark.parametrize("text", ["3^6", "2^3*3^2*5", "2^2*3^2*5*7"])
+def test_semidirect_matches_unique_reference(text):
+    s = parse_shape(text)
+    rng = np.random.default_rng(5)
+    for f in (sieve("mobius", s.X).values, rng.normal(size=s.X)):
+        spec = group_spectrum(f, s)
+        r = alignment_semidirect(spec, s)
+        assert (r.value, r.witness) == semidirect_reference(spec, s)
 
 
 def test_subgroup_extremes():

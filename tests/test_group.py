@@ -177,3 +177,27 @@ def test_translation_matches_add():
             tr = s.translation(g)
             for x in range(0, s.X, max(1, s.X // 11)):
                 assert tr[x] == s.add(g, x)
+
+
+MIXED = SHAPES + [GroupShape([2, 3, 5, 7], [3, 2, 2, 1]), GroupShape([3], [9])]
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_flat_index_of_matches_digit_matrix(data):
+    s = data.draw(st.sampled_from(MIXED))
+    xs = np.array(data.draw(st.lists(st.integers(0, s.X - 1), min_size=1, max_size=64)),
+                  dtype=np.int64)
+    expected = s.digits_matrix(xs).astype(np.int64) @ s.digit_strides
+    assert np.array_equal(s.flat_index_of(xs), expected)
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_translation_matches_digit_matrix(data):
+    s = data.draw(st.sampled_from(MIXED))
+    g = data.draw(st.integers(0, s.X - 1))
+    digits = (s.digits_matrix().astype(np.int64)
+              + s.digits_matrix(np.array([g]))[0]) % s.digit_primes
+    expected = (digits @ s._decode_weights()) % s.X
+    assert np.array_equal(s.translation(g), expected)

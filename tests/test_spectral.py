@@ -98,6 +98,79 @@ def test_parseval_and_inverse():
         assert np.max(np.abs(inverse_transform(spec) - f)) < 1e-9
 
 
+def fftn_reference(values, shape):
+    """The transform through np.fft.fftn: scatter by the digit matrix, then
+    reshape with reversed radices so that the C-order flat index is the
+    little-endian character index."""
+    perm = shape.digits_matrix().astype(np.int64) @ shape.digit_strides
+    scattered = np.empty(shape.X, dtype=np.complex128)
+    scattered[perm] = values
+    axes = tuple(int(p) for p in shape.digit_primes[::-1])
+    return np.fft.fftn(scattered.reshape(axes)).reshape(-1) / shape.X
+
+
+@st.composite
+def mixed_shapes(draw, max_x=1 << 12):
+    """Shapes with X <= max_x over primes mixing 2 and odd ones."""
+    primes = sorted(draw(st.lists(st.sampled_from([2, 3, 5, 7, 11]),
+                                  min_size=1, max_size=4, unique=True)))
+    used, exponents, X = [], [], 1
+    for p in primes:
+        e_max = 0
+        while X * p ** (e_max + 1) <= max_x:
+            e_max += 1
+        if e_max:
+            e = draw(st.integers(1, e_max))
+            used.append(p)
+            exponents.append(e)
+            X *= p**e
+    return GroupShape(used, exponents)
+
+
+@settings(max_examples=60, deadline=None)
+@given(s=mixed_shapes(), seed=st.integers(0, 2**32 - 1), real=st.booleans())
+def test_spectrum_matches_fftn_reference(s, seed, real):
+    rng = np.random.default_rng(seed)
+    f = rng.normal(size=s.X)
+    if not real:
+        f = f + 1j * rng.normal(size=s.X)
+    assert np.max(np.abs(group_spectrum(f, s).coeffs - fftn_reference(f, s))) <= 1e-12
+
+
+@pytest.mark.parametrize("d", [1, 6, 12])
+def test_integer_spectrum_bit_identical_on_powers_of_two(d):
+    s = GroupShape([2], [d])
+    rng = np.random.default_rng(d)
+    for f in (sieve("mobius", s.X).values, rng.integers(-9, 10, size=s.X)):
+        assert np.array_equal(group_spectrum(f, s).coeffs, fftn_reference(f, s))
+
+
+@settings(max_examples=40, deadline=None)
+@given(s=mixed_shapes(), seed=st.integers(0, 2**32 - 1))
+def test_inverse_transform_roundtrip(s, seed):
+    rng = np.random.default_rng(seed)
+    f = rng.normal(size=s.X) + 1j * rng.normal(size=s.X)
+    assert np.max(np.abs(inverse_transform(group_spectrum(f, s)) - f)) <= 1e-12
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_spectrum_rejects_nonfinite_table(bad):
+    s = GroupShape([2, 3], [2, 1])
+    f = np.ones(s.X)
+    f[5] = bad
+    with pytest.raises(ArgumentError, match="NaN or infinite"):
+        group_spectrum(f, s)
+
+
+@pytest.mark.parametrize("bad", [np.nan, complex(0, np.inf)])
+def test_correlation_rejects_nonfinite_table(bad):
+    s = GroupShape([3], [2])
+    f = np.ones(s.X, dtype=np.complex128)
+    f[4] = bad
+    with pytest.raises(ArgumentError, match="NaN or infinite"):
+        correlation(f, CharacterIndex.from_flat(1, s), s)
+
+
 def test_spectrum_cap():
     s = GroupShape([2], [5])
     with pytest.raises(ResourceError, match="correlation"):
@@ -375,3 +448,25 @@ def test_spectrum_dump_roundtrip(tmp_path):
         header = fh.readline().strip()
         assert header == "flat_index,re,im,magnitude"
         assert len(fh.readlines()) == s.X
+
+
+def _dumped_spectrum(tmp_path):
+    s = GroupShape([3], [3])
+    path = tmp_path / "spec.bin"
+    dump_spectrum(group_spectrum(np.arange(s.X, dtype=float), s), str(path))
+    return s, path
+
+
+@pytest.mark.parametrize("keep", [7, 12, 12 + 16 * 27 - 5])
+def test_load_spectrum_rejects_truncated_dump(tmp_path, keep):
+    s, path = _dumped_spectrum(tmp_path)
+    path.write_bytes(path.read_bytes()[:keep])
+    with pytest.raises(ArgumentError, match="short header|payload bytes"):
+        load_spectrum(str(path), s)
+
+
+def test_load_spectrum_rejects_overlong_dump(tmp_path):
+    s, path = _dumped_spectrum(tmp_path)
+    path.write_bytes(path.read_bytes() + bytes(16))
+    with pytest.raises(ArgumentError, match=f"{16 * 28} payload bytes"):
+        load_spectrum(str(path), s)
