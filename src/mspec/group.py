@@ -71,6 +71,8 @@ class GroupShape:
         for j in range(1, self.d):
             strides[j] = strides[j - 1] * self.digit_primes[j - 1]
         self.digit_strides = strides
+        # narrowest signed integer holding every digit (int8 up to p = 127)
+        self.digit_dtype = np.min_scalar_type(-max(primes))
         # (start, stop) of each block inside the flat digit vector
         stops = np.cumsum(exponents)
         self.block_slices = tuple(
@@ -126,12 +128,13 @@ class GroupShape:
         return x % self.X
 
     def digits_matrix(self, xs=None) -> np.ndarray:
-        """(n, d) int8 matrix of flat digit vectors; all of [0, X) by default."""
+        """(n, d) matrix of flat digit vectors, dtype digit_dtype; all of
+        [0, X) by default."""
         if xs is None:
             xs = np.arange(self.X, dtype=np.int64)
         else:
             xs = np.asarray(xs, dtype=np.int64)
-        out = np.empty((xs.shape[0], self.d), dtype=np.int8)
+        out = np.empty((xs.shape[0], self.d), dtype=self.digit_dtype)
         col = 0
         for p, e, b in zip(self.primes, self.exponents, self.block_sizes):
             xi = xs % b
@@ -167,7 +170,7 @@ class GroupShape:
             indices = np.arange(self.X, dtype=np.int64)
         else:
             indices = np.asarray(indices, dtype=np.int64).copy()
-        out = np.empty((indices.shape[0], self.d), dtype=np.int8)
+        out = np.empty((indices.shape[0], self.d), dtype=self.digit_dtype)
         rem = indices.copy()
         for j in range(self.d):
             p = int(self.digit_primes[j])

@@ -91,8 +91,8 @@ def _axis_transform(t: np.ndarray, shape: GroupShape, sign: int) -> np.ndarray:
     Digit j's axis is the middle one of t.reshape(m, p_j, stride_j).
     Radix-2 axes (the lowest digits, as 2 is the smallest prime) run first
     as in-place butterflies, so a real t stays real through them; odd
-    radices contract with the p x p DFT matrix.  t is overwritten; the
-    result is returned.
+    radices go through numpy's FFT, O(p log p) per line for any prime p.
+    t is overwritten; the result is returned.
     """
     for j in range(shape.d):
         p, stride = int(shape.digit_primes[j]), int(shape.digit_strides[j])
@@ -101,14 +101,10 @@ def _axis_transform(t: np.ndarray, shape: GroupShape, sign: int) -> np.ndarray:
             a = v[:, 0].copy()
             v[:, 0] += v[:, 1]
             np.subtract(a, v[:, 1], out=v[:, 1])
-            continue
-        k = np.arange(p)
-        w = roots_of_unity(p)[(sign * np.outer(k, k)) % p]
-        if stride == 1:
-            t = t.reshape(-1, p) @ w.T
+        elif sign < 0:
+            t = np.fft.fft(v, axis=1).reshape(-1)
         else:
-            t = np.matmul(w, v)
-        t = t.reshape(-1)
+            t = np.fft.ifft(v, axis=1, norm="forward").reshape(-1)
     return t
 
 
@@ -506,9 +502,10 @@ def load_spectrum(path: str, shape: GroupShape) -> Spectrum:
         (X,) = struct.unpack("<Q", header[4:])
         if X != shape.X:
             raise ArgumentError(f"dump is for X={X}, shape has X={shape.X}")
-        payload = fh.read()
+        payload = fh.read(16 * X + 1)
     if len(payload) != 16 * X:
-        raise ArgumentError(f"spectrum dump holds {len(payload)} payload bytes; its "
+        held = "more than " + str(16 * X) if len(payload) > 16 * X else str(len(payload))
+        raise ArgumentError(f"spectrum dump holds {held} payload bytes; its "
                             f"header says {X} coefficients of 16 bytes")
     pairs = np.frombuffer(payload, dtype="<f8").reshape(X, 2)
     return Spectrum(shape, pairs[:, 0] + 1j * pairs[:, 1])

@@ -201,3 +201,12 @@ def test_translation_matches_digit_matrix(data):
               + s.digits_matrix(np.array([g]))[0]) % s.digit_primes
     expected = (digits @ s._decode_weights()) % s.X
     assert np.array_equal(s.translation(g), expected)
+
+
+def test_digit_matrices_hold_large_primes():
+    s = GroupShape([2, 131, 4099], [1, 1, 1])
+    xs = np.array([0, 1, 130, 4098, 131 * 4099 - 1, s.X - 1])
+    expected = [[t for block in s.encode(int(x)) for t in block] for x in xs]
+    assert np.array_equal(s.digits_matrix(xs), expected)
+    positional = [[x % 2, x // 2 % 131, x // 262] for x in xs]
+    assert np.array_equal(s.char_digits_matrix(xs), positional)
