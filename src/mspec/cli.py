@@ -127,7 +127,12 @@ def _cmd_spectrum(args):
     values = _function_values(args.function, shape.X)
     spec = group_spectrum(values, shape)
     mags = np.abs(spec.coeffs)
-    order = np.argsort(-mags, kind="stable")[: args.top]
+    # the k largest magnitudes, ties to the smaller index, without sorting
+    # all X: keep every entry at least the k-th largest, sort only those
+    k = min(args.top, mags.size)
+    kth = np.partition(mags, mags.size - k)[mags.size - k]
+    candidates = np.flatnonzero(mags >= kth)
+    order = candidates[np.argsort(-mags[candidates], kind="stable")[:k]]
     top = [
         {
             "flat": int(idx),
@@ -276,8 +281,9 @@ def _cmd_ngd(args):
 def _cmd_csq(args):
     shape = parse_shape(args.shape)
     values = _function_values(args.function, shape.X)
+    strategy = FixedFeatureStrategy(shape, args.q)  # stateless: one per run
     out = csq_bad_event_rate(
-        values, shape, lambda: FixedFeatureStrategy(shape, args.q),
+        values, shape, lambda: strategy,
         args.tau, args.q, args.samples, seed=args.seed,
     )
     return out, None

@@ -40,6 +40,28 @@ def embed_inputs(shape: GroupShape, xs=None) -> np.ndarray:
     return out
 
 
+class _Workspace:
+    """Feature-major buffers for passes of one model over one input batch
+    (n, 2d), allocated once and reused by every pass.  Activations and
+    deltas are (width, n), so broadcasts and reductions run along the
+    long example axis.  a_0 is a C-contiguous copy of inputs.T (the layer-0
+    gemms run faster on it than on the transposed view) and ||a_0||^2 is
+    computed once."""
+
+    def __init__(self, model: "MlpModel", inputs: np.ndarray):
+        n = inputs.shape[0]
+        hidden = model.sizes[1:-1]
+        a0 = np.ascontiguousarray(inputs.T)
+        self.acts = [a0] + [np.empty((h, n)) for h in hidden]
+        self.deltas = [np.empty((h, n)) for h in hidden]
+        self.scratch = np.empty((max(hidden, default=0), n))
+        self.input_sq = np.einsum("hn,hn->n", a0, a0)
+        self.out = np.empty(n)
+        self.norms = np.empty(n)
+        self.term = np.empty(n)
+        self.delta_sq = np.empty(n)
+
+
 class MlpModel:
     """Feed-forward tanh network with a scalar linear output head.
 
@@ -63,59 +85,84 @@ class MlpModel:
     def n_layers(self) -> int:
         return len(self.weights)
 
-    def forward(self, inputs: np.ndarray):
-        """Returns (outputs (n,), activations list with a_0 = inputs)."""
-        acts = [inputs]
-        a = inputs
+    def _forward(self, acts, out):
+        """Fills the hidden activations acts[1:] from acts[0] and the
+        outputs out (n,) in place; returns out."""
         for l in range(self.n_layers - 1):
-            a = np.tanh(a @ self.weights[l].T + self.biases[l])
-            acts.append(a)
-        out = a @ self.weights[-1].T + self.biases[-1]
-        return out[:, 0], acts
+            a = np.matmul(self.weights[l], acts[l], out=acts[l + 1])
+            a += self.biases[l][:, None]
+            np.tanh(a, out=a)
+        np.matmul(self.weights[-1][0], acts[-1], out=out)
+        out += self.biases[-1][0]
+        return out
+
+    def forward(self, inputs: np.ndarray):
+        """Returns (outputs (n,), activations).  Activations are feature-
+        major: a_0 = inputs.T, then one (width, n) array per hidden layer."""
+        n = inputs.shape[0]
+        acts = [inputs.T] + [np.empty((h, n)) for h in self.sizes[1:-1]]
+        return self._forward(acts, np.empty(n)), acts
 
     def __call__(self, inputs: np.ndarray) -> np.ndarray:
         return self.forward(inputs)[0]
 
-    def _deltas(self, acts):
-        """Output sensitivities per layer, outermost first in layer order."""
-        n = acts[0].shape[0]
-        deltas = [None] * self.n_layers
-        deltas[-1] = np.ones((n, 1))
+    def _deltas(self, ws: "_Workspace") -> None:
+        """Output sensitivities (width, n) of the hidden layers, in layer
+        order, into ws.deltas.  The output delta is the constant 1, so the
+        last hidden layer's back-product is the head's weight row."""
         for l in range(self.n_layers - 2, -1, -1):
-            back = deltas[l + 1] @ self.weights[l + 1]
-            deltas[l] = back * (1.0 - acts[l + 1] ** 2)
-        return deltas
+            a, d = ws.acts[l + 1], ws.deltas[l]
+            head = l == self.n_layers - 2
+            slope = d if head else ws.scratch[: d.shape[0]]
+            np.square(a, out=slope)
+            np.subtract(1.0, slope, out=slope)  # tanh' = 1 - a^2
+            if head:
+                d *= self.weights[-1][0][:, None]
+            else:
+                np.matmul(self.weights[l + 1].T, ws.deltas[l + 1], out=d)
+                d *= slope
 
-    def per_example_grad_norms(self, acts, deltas) -> np.ndarray:
+    def per_example_grad_norms(self, ws: "_Workspace") -> np.ndarray:
         """||grad_theta f(x)|| per example, without materializing the
         per-example gradients: the layer-l block factorizes as
-        delta_l outer a_{l-1}, so its norm is the product of norms."""
-        n = acts[0].shape[0]
-        total = np.zeros(n)
+        delta_l outer a_{l-1}, so its norm is the product of norms.  The
+        output layer's ||delta||^2 is exactly 1."""
+        total, term = ws.norms, ws.term
+        total.fill(0.0)
         for l in range(self.n_layers):
-            d2 = (deltas[l] ** 2).sum(axis=1)
-            a2 = (acts[l] ** 2).sum(axis=1)
-            total += d2 * (a2 + 1.0)  # +1 for the bias column
-        return np.sqrt(total)
+            if l == 0:
+                np.add(ws.input_sq, 1.0, out=term)  # +1 for the bias column
+            else:
+                np.einsum("hn,hn->n", ws.acts[l], ws.acts[l], out=term)
+                term += 1.0
+            if l < self.n_layers - 1:
+                term *= np.einsum("hn,hn->n", ws.deltas[l], ws.deltas[l],
+                                  out=ws.delta_sq)
+            total += term
+        return np.sqrt(total, out=total)
 
-    def weighted_gradient(self, acts, deltas, w: np.ndarray):
+    def weighted_gradient(self, ws: "_Workspace", w: np.ndarray):
         """mean_x w(x) * grad_theta f(x), assembled with gemms."""
-        n = acts[0].shape[0]
+        n = w.shape[0]
         g_w, g_b = [], []
-        for l in range(self.n_layers):
-            wd = deltas[l] * w[:, None]
-            g_w.append(wd.T @ acts[l] / n)
-            g_b.append(wd.sum(axis=0) / n)
+        for l in range(self.n_layers - 1):
+            wd = np.multiply(ws.deltas[l], w, out=ws.scratch[: ws.deltas[l].shape[0]])
+            g_w.append((ws.acts[l] @ wd.T).T / n)
+            g_b.append(wd.sum(axis=1) / n)
+        g_w.append((ws.acts[-1] @ w / n)[None, :])
+        g_b.append(np.array([w.sum() / n]))
         return g_w, g_b
 
     def gradient_at(self, inputs: np.ndarray):
         """Full analytic gradient of f at a single input, flattened."""
-        _, acts = self.forward(inputs)
-        deltas = self._deltas(acts)
+        ws = _Workspace(self, inputs)
+        self._forward(ws.acts, ws.out)
+        self._deltas(ws)
         pieces = []
         for l in range(self.n_layers):
-            pieces.append((deltas[l][0][:, None] * acts[l][0][None, :]).ravel())
-            pieces.append(deltas[l][0])
+            d = ws.deltas[l][:, 0] if l < self.n_layers - 1 else np.ones(1)
+            pieces.append((d[:, None] * ws.acts[l][:, 0][None, :]).ravel())
+            pieces.append(d)
         return np.concatenate(pieces)
 
     # flat parameter vector, layout matching gradient_at
@@ -209,18 +256,22 @@ def ngd_train(model: MlpModel, target, shape: GroupShape, cfg: NgdConfig) -> dic
     if h.shape[0] != shape.X:
         raise ArgumentError(f"target length {h.shape[0]} != X = {shape.X}")
     baseline = cfg.baseline if cfg.baseline is not None else np.zeros(shape.X)
-    inputs = embed_inputs(shape)
+    ws = _Workspace(model, embed_inputs(shape))
     rng = np.random.default_rng(cfg.seed)
     n_params = model.get_flat().size
+    w = np.empty(shape.X)
     trace = []
     for _ in range(cfg.T):
-        out, acts = model.forward(inputs)
-        trace.append(float(np.mean((out - h) ** 2)))
-        deltas = model._deltas(acts)
-        norms = model.per_example_grad_norms(acts, deltas)
-        clip = np.minimum(1.0, cfg.R / np.maximum(norms, 1e-300))
-        w = (h - out) * clip
-        g_w, g_b = model.weighted_gradient(acts, deltas, w)
+        out = model._forward(ws.acts, ws.out)
+        np.subtract(h, out, out=w)  # the residual, clipped in place below
+        trace.append(float(np.mean(w ** 2)))
+        model._deltas(ws)
+        clip = model.per_example_grad_norms(ws)
+        np.maximum(clip, 1e-300, out=clip)
+        np.divide(cfg.R, clip, out=clip)
+        np.minimum(clip, 1.0, out=clip)
+        w *= clip
+        g_w, g_b = model.weighted_gradient(ws, w)
         noise = rng.normal(0.0, cfg.tau, size=n_params) if cfg.tau > 0 else np.zeros(n_params)
         pos = 0
         for l in range(model.n_layers):
@@ -231,7 +282,7 @@ def ngd_train(model: MlpModel, target, shape: GroupShape, cfg: NgdConfig) -> dic
             size = model.biases[l].size
             model.biases[l] = model.biases[l] + cfg.eta * (g_b[l] - noise[pos : pos + size])
             pos += size
-    out, _ = model.forward(inputs)
+    out = model._forward(ws.acts, ws.out)
     final_loss = float(np.mean((out - h) ** 2))
     trace.append(final_loss)
     baseline_loss = float(np.mean((baseline - h) ** 2))

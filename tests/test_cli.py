@@ -1,7 +1,11 @@
 import json
 
+import numpy as np
 import pytest
 
+import mspec.cli
+from mspec import (CharacterIndex, FixedFeatureStrategy, char_values,
+                   csq_bad_event_rate, group_spectrum, parse_shape)
 from mspec.cli import build_parser, run_command
 
 SUBCOMMANDS = [
@@ -35,6 +39,28 @@ def test_spectrum_contract(capsys):
     assert len(rec["result"]["top"]) == 5
     mags = [t["magnitude"] for t in rec["result"]["top"]]
     assert mags == sorted(mags, reverse=True)
+
+
+@pytest.mark.parametrize("text,table,top", [
+    ("2^2*3^2*5", "character", 7),   # two nonzero magnitudes, X - 2 tied zeros
+    ("2^6", "mobius", 12),
+    ("3^4", "liouville", 100),       # --top larger than X
+])
+def test_spectrum_top_matches_stable_sort(text, table, top, capsys, monkeypatch):
+    shape = parse_shape(text)
+    if table == "character":
+        chi = CharacterIndex.from_flat(37, shape)
+        values = np.real(char_values(chi, shape))
+        monkeypatch.setattr(mspec.cli, "_function_values", lambda name, X: values)
+        table = "mobius"
+    else:
+        values = mspec.cli._function_values(table, shape.X)
+    code, rec = run_json(["spectrum", "--shape", text, "--function", table,
+                          "--top", str(top)], capsys)
+    assert code == 0
+    mags = np.abs(group_spectrum(values, shape).coeffs)
+    want = np.argsort(-mags, kind="stable")[:top]
+    assert [t["flat"] for t in rec["result"]["top"]] == want.tolist()
 
 
 def test_digital_pnt_contract(capsys):
@@ -146,3 +172,16 @@ def test_seed_recorded(capsys):
                           "--samples", "5", "--seed", "42"], capsys)
     assert code == 0
     assert rec["seed"] == 42
+
+
+def test_csq_rate_matches_per_sample_strategies(capsys):
+    shape = parse_shape("3^5")
+    values = mspec.cli._function_values("liouville", shape.X)
+    want = csq_bad_event_rate(values, shape, lambda: FixedFeatureStrategy(shape, 4),
+                              tau=0.1, q=4, samples=40, seed=3)
+    assert 0.0 < want["empirical_rate"] < 1.0
+    code, rec = run_json(["csq", "--shape", "3^5", "--function", "liouville",
+                          "--tau", "0.1", "--q", "4", "--samples", "40",
+                          "--seed", "3"], capsys)
+    assert code == 0
+    assert rec["result"]["empirical_rate"] == want["empirical_rate"]

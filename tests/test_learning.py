@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -254,3 +255,102 @@ def test_experiment_log(tmp_path):
         lines = [json.loads(line) for line in fh]
     assert len(lines) == 2
     assert all("version" in rec and "timestamp" in rec for rec in lines)
+
+
+# -- row-major reference step ----------------------------------------------
+
+
+def _reference_ngd_train(model, target, shape, cfg):
+    """The row-major NGD trainer the feature-major step replaced, kept as
+    the reference: activations and deltas are (X, width), every step
+    recomputes ||a_0||^2 and the output layer's delta."""
+    h = np.asarray(target, dtype=np.float64)
+    baseline = cfg.baseline if cfg.baseline is not None else np.zeros(shape.X)
+    inputs = embed_inputs(shape)
+    weights = [w.copy() for w in model.weights]
+    biases = [b.copy() for b in model.biases]
+    L = len(weights)
+
+    def forward():
+        acts = [inputs]
+        a = inputs
+        for l in range(L - 1):
+            a = np.tanh(a @ weights[l].T + biases[l])
+            acts.append(a)
+        return (a @ weights[-1].T + biases[-1])[:, 0], acts
+
+    rng = np.random.default_rng(cfg.seed)
+    n_params = model.get_flat().size
+    n = shape.X
+    trace = []
+    for _ in range(cfg.T):
+        out, acts = forward()
+        trace.append(float(np.mean((out - h) ** 2)))
+        deltas = [None] * L
+        deltas[-1] = np.ones((n, 1))
+        for l in range(L - 2, -1, -1):
+            deltas[l] = (deltas[l + 1] @ weights[l + 1]) * (1.0 - acts[l + 1] ** 2)
+        total = np.zeros(n)
+        for l in range(L):
+            total += (deltas[l] ** 2).sum(axis=1) * ((acts[l] ** 2).sum(axis=1) + 1.0)
+        clip = np.minimum(1.0, cfg.R / np.maximum(np.sqrt(total), 1e-300))
+        w = (h - out) * clip
+        noise = rng.normal(0.0, cfg.tau, size=n_params) if cfg.tau > 0 else np.zeros(n_params)
+        pos = 0
+        for l in range(L):
+            wd = deltas[l] * w[:, None]
+            size = weights[l].size
+            xi = noise[pos : pos + size].reshape(weights[l].shape)
+            weights[l] = weights[l] + cfg.eta * (wd.T @ acts[l] / n - xi)
+            pos += size
+            size = biases[l].size
+            biases[l] = biases[l] + cfg.eta * (wd.sum(axis=0) / n - noise[pos : pos + size])
+            pos += size
+    out, _ = forward()
+    final_loss = float(np.mean((out - h) ** 2))
+    trace.append(final_loss)
+    success = final_loss <= float(np.mean((baseline - h) ** 2)) - cfg.eps
+    return {"loss_trace": trace, "success": success, "weights": weights,
+            "biases": biases}
+
+
+NGD_REFERENCE_CASES = [
+    (GroupShape([2], [6]), NgdConfig(T=30, tau=0.05, eps=0.01, seed=3)),
+    (GroupShape([3], [4]), NgdConfig(T=30, eta=0.2, R=0.5, tau=0.02, eps=0.01, seed=4)),
+    (GroupShape([2, 3, 5], [2, 2, 1]), NgdConfig(T=30, tau=0.05, eps=0.01, seed=5)),
+    (GroupShape([2], [6]), NgdConfig(T=30, R=10.0, tau=0.0, eps=0.01, seed=6)),
+    (GroupShape([3], [4]), NgdConfig(T=0, tau=0.05, eps=0.01, seed=7)),
+]
+
+
+@pytest.mark.parametrize("arch", [[], [4], [32, 16], [8, 8, 4]],
+                         ids=lambda a: ",".join(map(str, a)) or "linear")
+@pytest.mark.parametrize("shape,cfg", NGD_REFERENCE_CASES,
+                         ids=lambda v: repr(v) if isinstance(v, GroupShape)
+                         else f"T{v.T}-tau{v.tau}")
+def test_ngd_train_matches_row_major_reference(shape, cfg, arch):
+    h = sieve("mobius", shape.X).values.astype(float)
+    for trial in range(2):
+        seed = [cfg.seed, trial, 0]
+        ref = _reference_ngd_train(MlpModel(shape, arch, seed=seed), h, shape, cfg)
+        out = ngd_train(MlpModel(shape, arch, seed=seed), h, shape, cfg)
+        assert len(out["loss_trace"]) == cfg.T + 1
+        assert np.max(np.abs(np.subtract(out["loss_trace"], ref["loss_trace"]))) <= 1e-12
+        for got, want in zip(out["model"].weights + out["model"].biases,
+                             ref["weights"] + ref["biases"]):
+            assert np.max(np.abs(got - want), initial=0.0) <= 1e-12
+        assert out["success"] == ref["success"]
+
+
+def test_ngd_experiment_matches_row_major_reference():
+    s = GroupShape([2], [10])
+    h = sieve("mobius", s.X).values.astype(float)
+    cfg = NgdConfig(T=100, tau=0.05, eps=0.001, seed=11)
+    successes = 0
+    for t in range(5):
+        model = MlpModel(s, [32, 16], seed=[11, t, 0])
+        successes += _reference_ngd_train(model, h, s,
+                                          replace(cfg, seed=[11, t, 1]))["success"]
+    assert 0 < successes < 5
+    out = ngd_experiment(h, s, cfg, trials=5, arch=[32, 16])
+    assert out["success_rate"] == successes / 5
