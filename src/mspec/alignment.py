@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArgumentError, ResourceError
-from .group import CharacterIndex, GroupShape, _rref_mod_p, char_stats
+from .group import CharacterIndex, GroupShape, _rref_mod_p, char_stats, flatten_digits
 from .spectral import Spectrum, _as_values
 
 GRAM_CAP = 4096
@@ -50,12 +50,16 @@ def alignment_full_group(spec: Spectrum) -> AlignmentResult:
 def _type_histograms(shape: GroupShape) -> np.ndarray:
     """(X, sum_i p_i) matrix: per-block digit-value counts of every
     character index."""
-    digits = shape.char_digits_matrix()
+    idx = np.arange(shape.X, dtype=np.int64)
     cols = []
     for i, p in enumerate(shape.primes):
-        block = digits[:, shape.block_slices[i]]
-        for t in range(p):
-            cols.append((block == t).sum(axis=1, dtype=np.int16))
+        s = shape.block_slices[i]
+        counts = [np.zeros(shape.X, dtype=np.int16) for _ in range(p)]
+        for j in range(s.start, s.stop):
+            digit = shape.digit(j, idx)
+            for t in range(p):
+                counts[t] += digit == t
+        cols.extend(counts)
     return np.stack(cols, axis=1)
 
 
@@ -98,9 +102,9 @@ class SubgroupSpec:
             if not 0 <= g < shape.X:
                 raise ArgumentError(f"generator {g} outside [0, {shape.X})")
         # per-block generator digit matrices over F_p
-        gen_digits = shape.digits_matrix(np.array(self.generators, dtype=np.int64)) \
-            if self.generators else np.zeros((0, shape.d), dtype=np.int8)
-        self._gen_digits = gen_digits.astype(np.int64)
+        self._gen_digits = np.array(
+            [flatten_digits(shape.encode(g)) for g in self.generators],
+            dtype=np.int64).reshape(len(self.generators), shape.d)
         self.block_ranks = tuple(
             _rref_mod_p(self._gen_digits[:, shape.block_slices[i]], p)[1]
             for i, p in enumerate(shape.primes)
@@ -112,20 +116,21 @@ class SubgroupSpec:
             self.annihilator_order *= p ** (shape.exponents[i] - self.block_ranks[i])
 
     def syndromes(self) -> np.ndarray:
-        """(X, n_gen) matrix: evaluation exponents of every character on
-        each generator, blockwise mod p_i, packed into one column per
-        generator across blocks."""
+        """(X,) keys: the evaluation exponents of every character on each
+        generator, blockwise mod p_i, packed little-endian over (block,
+        generator)."""
         shape = self.shape
-        digits = shape.char_digits_matrix().astype(np.int64)
-        n_gen = len(self.generators)
+        idx = np.arange(shape.X, dtype=np.int64)
         # per (block, generator) residue, combined little-endian
         key = np.zeros(shape.X, dtype=np.int64)
         mult = 1
         for i, p in enumerate(shape.primes):
             s = shape.block_slices[i]
-            res = (digits[:, s] @ self._gen_digits[:, s].T) % p  # (X, n_gen)
-            for c in range(n_gen):
-                key += res[:, c] * mult
+            res = np.zeros((len(self.generators), shape.X), dtype=np.int64)
+            for j in range(s.start, s.stop):
+                res += self._gen_digits[:, j, None] * shape.digit(j, idx)
+            for row in res % p:
+                key += row * mult
                 mult *= p
         return key
 
@@ -157,7 +162,7 @@ def alignment_gram_oracle(table, shape: GroupShape, elements) -> float:
     if not elements:
         raise ArgumentError("elements must be nonempty")
     values = _as_values(table, shape.X)
-    rows = np.empty((len(elements), shape.X), dtype=np.complex128)
+    rows = np.empty((len(elements), shape.X), dtype=values.dtype)
     for r, g in enumerate(elements):
         rows[r] = values[shape.translation(g)]
     gram = rows @ rows.conj().T / shape.X
@@ -169,7 +174,7 @@ def _power_iteration(gram: np.ndarray, tol: float = 1e-10, cap: int = 10**4) -> 
     # deterministic Gaussian start: an all-ones start is an exact
     # eigenvector of translation Gram matrices and traps the iteration
     n = gram.shape[0]
-    v = np.random.default_rng(0).normal(size=n).astype(np.complex128)
+    v = np.random.default_rng(0).normal(size=n).astype(gram.dtype)
     v /= np.linalg.norm(v)
     lam = 0.0
     for _ in range(cap):

@@ -95,6 +95,10 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _positive_ints(text: str) -> list:
+    return [_positive_int(w) for w in text.split(",")]
+
+
 def _write_plot(path: str, header: list, rows: list) -> None:
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
@@ -272,7 +276,7 @@ def _cmd_ngd(args):
     values = _function_values(args.function, shape.X)
     cfg = NgdConfig(T=args.T, eta=args.eta, R=args.R, tau=args.tau,
                     seed=args.seed, eps=args.eps)
-    arch = [int(w) for w in args.arch.split(",")] if args.arch else [16]
+    arch = args.arch or [16]
     out = ngd_experiment(values, shape, cfg, args.trials, arch)
     out["arch"] = arch
     return out, None
@@ -383,14 +387,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau", type=float, default=0.05)
     p.add_argument("--eta", type=float, default=0.1)
     p.add_argument("--eps", type=float, default=0.01)
-    p.add_argument("--arch", help="hidden widths, e.g. \"16\" or \"32,16\"")
+    p.add_argument("--arch", type=_positive_ints,
+                   help="hidden widths, e.g. \"16\" or \"32,16\"")
     p.set_defaults(handler=_cmd_ngd)
 
     p = sub.add_parser("csq", help="adversarial query game over translates")
     _add_common(p)
     p.add_argument("--tau", type=float, default=0.01)
     p.add_argument("--q", type=int, default=10)
-    p.add_argument("--samples", type=int, default=100)
+    p.add_argument("--samples", type=_positive_int, default=100)
     p.set_defaults(handler=_cmd_csq)
 
     p = sub.add_parser("decay-table", help="max coefficient across sizes")
@@ -429,7 +434,7 @@ def run_command(argv) -> int:
     wall = time.perf_counter() - start
     params = {
         k: v for k, v in vars(args).items()
-        if k not in ("handler", "command") and isinstance(v, (int, float, str, bool, type(None)))
+        if k not in ("handler", "command") and isinstance(v, (int, float, str, bool, list, type(None)))
     }
     record = {
         "command": args.command,

@@ -4,6 +4,11 @@ An integer x in [0, X) is identified with its tuple of base-p_i digit
 vectors through the Chinese remainder theorem.  Characters are indexed
 by exponent vectors laid out little-endian mixed radix: blocks in input
 order, digit j=0 least significant within a block.
+
+One rule gives every digit: digit j of a flat layout index is
+idx // digit_strides[j] % digit_primes[j] (GroupShape.digit).  The digits
+of integers are the layout digits of flat_index_of(xs), the only
+vectorized CRT step; encode is its scalar counterpart.
 """
 
 from __future__ import annotations
@@ -127,22 +132,15 @@ class GroupShape:
             x += xi * (self.X // b) * self.crt_inverses[i]
         return x % self.X
 
+    def digit(self, j: int, indices):
+        """Digit j of flat character-layout indices (an int or an int64
+        array)."""
+        return indices // self.digit_strides[j] % self.digit_primes[j]
+
     def digits_matrix(self, xs=None) -> np.ndarray:
         """(n, d) matrix of flat digit vectors, dtype digit_dtype; all of
         [0, X) by default."""
-        if xs is None:
-            xs = np.arange(self.X, dtype=np.int64)
-        else:
-            xs = np.asarray(xs, dtype=np.int64)
-        out = np.empty((xs.shape[0], self.d), dtype=self.digit_dtype)
-        col = 0
-        for p, e, b in zip(self.primes, self.exponents, self.block_sizes):
-            xi = xs % b
-            for _ in range(e):
-                out[:, col] = xi % p
-                xi //= p
-                col += 1
-        return out
+        return self.char_digits_matrix(self.flat_index_of(xs))
 
     def flat_index_of(self, xs) -> np.ndarray:
         """Character-layout flat index of the digit vectors of xs.
@@ -169,13 +167,10 @@ class GroupShape:
         if indices is None:
             indices = np.arange(self.X, dtype=np.int64)
         else:
-            indices = np.asarray(indices, dtype=np.int64).copy()
+            indices = np.asarray(indices, dtype=np.int64)
         out = np.empty((indices.shape[0], self.d), dtype=self.digit_dtype)
-        rem = indices.copy()
         for j in range(self.d):
-            p = int(self.digit_primes[j])
-            out[:, j] = rem % p
-            rem //= p
+            out[:, j] = self.digit(j, indices)
         return out
 
     def add(self, g: int, x: int) -> int:
@@ -189,18 +184,11 @@ class GroupShape:
 
     def translation(self, g: int, xs=None) -> np.ndarray:
         """Vector of g + x (digitwise) over xs, as integers."""
-        xs = np.arange(self.X, dtype=np.int64) if xs is None else np.asarray(xs, dtype=np.int64)
+        idx = self.flat_index_of(xs)
         weights = self._decode_weights()
-        out = np.zeros(xs.shape[0], dtype=np.int64)
-        col = 0
-        for p, e, b in zip(self.primes, self.exponents, self.block_sizes):
-            rem = xs % b
-            gi = g % b
-            for _ in range(e):
-                out += (rem % p + gi % p) % p * weights[col]
-                rem //= p
-                gi //= p
-                col += 1
+        out = np.zeros(idx.shape[0], dtype=np.int64)
+        for j, t in enumerate(flatten_digits(self.encode(g))):
+            out += (self.digit(j, idx) + t) % self.digit_primes[j] * weights[j]
         return out % self.X
 
     def _decode_weights(self) -> np.ndarray:
@@ -251,11 +239,7 @@ class CharacterIndex:
         index = int(index)
         if not 0 <= index < shape.X:
             raise ArgumentError(f"flat index {index} outside [0, {shape.X})")
-        digits = []
-        for p in shape.digit_primes:
-            digits.append(index % int(p))
-            index //= int(p)
-        return cls(tuple(digits), shape)
+        return cls(tuple(int(shape.digit(j, index)) for j in range(shape.d)), shape)
 
     @property
     def flat(self) -> int:
@@ -311,23 +295,18 @@ def char_values(a: CharacterIndex, shape: GroupShape | None = None,
                 xs=None) -> np.ndarray:
     """chi_a over xs (all of [0, X) by default), via exact root tables."""
     shape = shape or a.shape
-    xs = np.asarray(np.arange(shape.X) if xs is None else xs, dtype=np.int64)
+    idx = shape.flat_index_of(xs)
     values = None
-    for i, (p, b) in enumerate(zip(shape.primes, shape.block_sizes)):
-        ai = a.block(i)
-        if not any(ai):
+    for i, p in enumerate(shape.primes):
+        s = shape.block_slices[i]
+        nonzero = [(j, t) for j, t in enumerate(a.digits[s], s.start) if t]
+        if not nonzero:
             continue
-        # exponent sum_j a_j x_j, one base-p digit of x mod b at a time
-        rem = xs % b
-        e = np.zeros(xs.shape[0], dtype=np.int64)
-        for t in ai:
-            if t:
-                e += t * (rem % p)
-            rem //= p
+        e = sum(t * shape.digit(j, idx) for j, t in nonzero)  # sum_j a_j x_j
         block_vals = roots_of_unity(p)[e % p]
         values = block_vals if values is None else values * block_vals
     if values is None:
-        return np.ones(xs.shape[0], dtype=np.complex128)
+        return np.ones(idx.shape[0], dtype=np.complex128)
     return values
 
 

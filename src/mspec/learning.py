@@ -18,7 +18,7 @@ import numpy as np
 from . import __version__
 from .arith import primes_up_to, sieve
 from .errors import ArgumentError, ResourceError
-from .group import GroupShape, char_values, CharacterIndex
+from .group import GroupShape, char_values, CharacterIndex, flatten_digits
 from .spectral import group_spectrum
 from .alignment import alignment_full_group, learning_bounds
 
@@ -32,11 +32,12 @@ COVARIANCE_EXPLICIT_CAP = 2000
 def embed_inputs(shape: GroupShape, xs=None) -> np.ndarray:
     """(n, 2d) embedding: digit t of a base-p position maps to the unit
     circle point (cos 2 pi t/p, sin 2 pi t/p)."""
-    digits = shape.digits_matrix(xs).astype(np.float64)
-    angles = 2.0 * np.pi * digits / shape.digit_primes[None, :]
-    out = np.empty((digits.shape[0], 2 * shape.d))
-    out[:, 0::2] = np.cos(angles)
-    out[:, 1::2] = np.sin(angles)
+    idx = shape.flat_index_of(xs)
+    out = np.empty((idx.shape[0], 2 * shape.d))
+    for j, p in enumerate(shape.digit_primes):
+        angles = 2.0 * np.pi * shape.digit(j, idx) / p
+        out[:, 2 * j] = np.cos(angles)
+        out[:, 2 * j + 1] = np.sin(angles)
     return out
 
 
@@ -73,6 +74,8 @@ class MlpModel:
     def __init__(self, shape: GroupShape, hidden, seed=0):
         self.shape = shape
         self.sizes = [2 * shape.d] + [int(h) for h in hidden] + [1]
+        if min(self.sizes) < 1:
+            raise ArgumentError(f"hidden widths must be >= 1, got {self.sizes[1:-1]}")
         rng = np.random.default_rng(seed)
         self.weights = []
         self.biases = []
@@ -190,8 +193,7 @@ def rotate_first_layer(model: MlpModel, g: int, shape: GroupShape) -> MlpModel:
     """The induced parameter map of a group translation: first-layer
     weight column pairs rotated by the digit phases of g, so that
     f(g + x; rotated theta) = f(x; theta)."""
-    gd = shape.digits_matrix(np.array([g]))[0].astype(np.float64)
-    angles = 2.0 * np.pi * gd / shape.digit_primes
+    angles = 2.0 * np.pi * np.array(flatten_digits(shape.encode(g))) / shape.digit_primes
     rot = np.zeros((2 * shape.d, 2 * shape.d))
     for j, phi in enumerate(angles):
         c, s = math.cos(phi), math.sin(phi)
@@ -405,6 +407,8 @@ def csq_bad_event_rate(orbit_target, shape: GroupShape, learner_factory,
                        tau: float, q: int, samples: int, seed: int = 0) -> dict:
     """Bad-event frequency of the game over uniform group translates of
     the base target, against the (q A / tau^2) ceiling."""
+    if samples < 1:
+        raise ArgumentError(f"samples must be >= 1, got {samples}")
     base = np.asarray(orbit_target, dtype=np.float64)
     rng = np.random.default_rng(seed)
     gs = rng.integers(0, shape.X, size=samples)

@@ -118,8 +118,11 @@ def count_primes_digit_condition(L: LinearDigitMap, b, shape: GroupShape) -> dic
     X = shape.X
     ss = singular_series(L, b)
     table = sieve("von_mangoldt", X)
-    digits = shape.digits_matrix(None)
-    in_fiber = (L.apply(digits) == b[None, :]).all(axis=1)
+    idx = shape.flat_index_of(None)
+    image = np.zeros((L.m, X), dtype=np.int64)
+    for j in range(L.d):
+        image += L.rows[:, j, None] * shape.digit(j, idx)
+    in_fiber = (image % L.p == b[:, None]).all(axis=0)
 
     prime_mask = (table.pp_prime == np.arange(X, dtype=np.int64)) & (
         np.arange(X) >= 2

@@ -159,6 +159,26 @@ def test_gram_oracle_matches_spectral():
             assert abs(gram - spectral) < 1e-8
 
 
+def test_gram_oracle_real_tables_stay_real(monkeypatch):
+    import mspec.alignment
+
+    dtypes = []
+    power_iteration = mspec.alignment._power_iteration
+
+    def spy(gram):
+        dtypes.append(gram.dtype)
+        return power_iteration(gram)
+
+    monkeypatch.setattr(mspec.alignment, "_power_iteration", spy)
+    for s in [GroupShape([2], [8]), GroupShape([3], [5]), GroupShape([2, 3], [3, 2])]:
+        for kind in ("mobius", "liouville"):
+            h = sieve(kind, s.X).values.astype(float)
+            real = alignment_gram_oracle(h, s, range(s.X))
+            complex_ = alignment_gram_oracle(h.astype(np.complex128), s, range(s.X))
+            assert abs(real - complex_) < 1e-12
+    assert dtypes == [np.float64, np.complex128] * 6
+
+
 def test_gram_oracle_caps():
     s = GroupShape([2], [13])
     with pytest.raises(ResourceError):

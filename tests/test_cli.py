@@ -185,3 +185,29 @@ def test_csq_rate_matches_per_sample_strategies(capsys):
                           "--seed", "3"], capsys)
     assert code == 0
     assert rec["result"]["empirical_rate"] == want["empirical_rate"]
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["csq", "--shape", "2^4", "--samples", "0"], "--samples"),
+    (["ngd", "--shape", "2^4", "--arch", "0"], "--arch"),
+    (["ngd", "--shape", "2^4", "--arch", "-2"], "--arch"),
+    (["ngd", "--shape", "2^4", "--arch", "4,0"], "--arch"),
+])
+def test_nonpositive_counts_rejected(argv, flag, capsys):
+    assert run_command(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert flag in captured.err and "Traceback" not in captured.err
+
+
+def test_nonpositive_counts_rejected_by_library():
+    from mspec import MlpModel
+    from mspec.errors import ArgumentError
+
+    shape = parse_shape("2^4")
+    with pytest.raises(ArgumentError, match="samples"):
+        csq_bad_event_rate(np.ones(shape.X), shape,
+                           lambda: FixedFeatureStrategy(shape, 2), 0.1, 2, 0)
+    for hidden in ([0], [4, -2]):
+        with pytest.raises(ArgumentError, match="widths"):
+            MlpModel(shape, hidden)

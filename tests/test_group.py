@@ -5,13 +5,25 @@ from hypothesis import given, settings, strategies as st
 from mspec import (
     CharacterIndex,
     GroupShape,
+    MlpModel,
+    SubgroupSpec,
+    alignment_semidirect,
+    alignment_subgroup,
     char_eval,
     char_stats,
     char_values,
+    count_primes_digit_condition,
+    group_spectrum,
     make_group_shape,
+    make_linear_map,
     parse_shape,
+    rotate_first_layer,
+    sieve,
 )
+from mspec.alignment import _type_histograms
 from mspec.errors import ArgumentError
+from mspec.group import roots_of_unity
+from mspec.learning import embed_inputs
 
 SHAPES = [
     GroupShape([2], [3]),
@@ -210,3 +222,162 @@ def test_digit_matrices_hold_large_primes():
     assert np.array_equal(s.digits_matrix(xs), expected)
     positional = [[x % 2, x // 2 % 131, x // 262] for x in xs]
     assert np.array_equal(s.char_digits_matrix(xs), positional)
+
+
+# -- the digit codec against the per-block CRT loop -------------------------
+#
+# _crt_digits is the loop digits_matrix ran before every digit came from
+# flat_index_of and GroupShape.digit: x mod b_i, then its base-p_i digits
+# one at a time.  It shares no code with the codec, so the checks below
+# compare every digit consumer with an independent reference, bit for bit.
+
+REFERENCE_SHAPES = MIXED + [GroupShape([2, 131, 4099], [1, 1, 1])]
+
+
+def _crt_digits(s, xs=None):
+    xs = np.arange(s.X, dtype=np.int64) if xs is None else np.asarray(xs, dtype=np.int64)
+    out = np.empty((xs.shape[0], s.d), dtype=np.int64)
+    col = 0
+    for p, e, b in zip(s.primes, s.exponents, s.block_sizes):
+        xi = xs % b
+        for _ in range(e):
+            out[:, col] = xi % p
+            xi //= p
+            col += 1
+    return out
+
+
+def _crt_decode(s, digits):
+    """Integers with the given (n, d) digit rows, by the CRT."""
+    x = np.zeros(digits.shape[0], dtype=np.int64)
+    for i, (p, b) in enumerate(zip(s.primes, s.block_sizes)):
+        xi = np.zeros_like(x)
+        for k, col in enumerate(range(s.block_slices[i].start, s.block_slices[i].stop)):
+            xi += digits[:, col] * p**k
+        x = (x + xi * ((s.X // b) * s.crt_inverses[i] % s.X)) % s.X
+    return x
+
+
+def _sample(s, n=256, seed=0):
+    rng = np.random.default_rng(seed)
+    return np.concatenate([[0, s.X - 1], rng.integers(0, s.X, size=n)]).astype(np.int64)
+
+
+@pytest.mark.parametrize("s", REFERENCE_SHAPES, ids=repr)
+def test_digit_matrices_match_crt_reference(s):
+    xs = _sample(s)
+    ref = _crt_digits(s, xs)
+    got = s.digits_matrix(xs)
+    assert got.dtype == s.digit_dtype and np.array_equal(got, ref)
+    assert np.array_equal(s.digits_matrix(), _crt_digits(s))
+    assert np.array_equal(s.flat_index_of(xs), ref @ s.digit_strides)
+    got = s.char_digits_matrix(ref @ s.digit_strides)
+    assert got.dtype == s.digit_dtype and np.array_equal(got, ref)
+    for j in range(s.d):
+        assert np.array_equal(s.digit(j, s.flat_index_of(xs)), ref[:, j])
+
+
+@pytest.mark.parametrize("s", REFERENCE_SHAPES, ids=repr)
+def test_translation_matches_crt_reference(s):
+    xs = _sample(s)
+    everything = _crt_digits(s)
+    for g in [0, 1, s.X - 1, int(_sample(s, 1, seed=1)[-1])]:
+        gd = _crt_digits(s, [g])[0]
+        assert np.array_equal(s.translation(g),
+                              _crt_decode(s, (everything + gd) % s.digit_primes))
+        assert np.array_equal(s.translation(g, xs),
+                              _crt_decode(s, (everything[xs] + gd) % s.digit_primes))
+
+
+def _reference_char_values(a, s, digits):
+    values = None
+    for i, p in enumerate(s.primes):
+        ai = np.array(a.block(i), dtype=np.int64)
+        if not ai.any():
+            continue
+        block_vals = roots_of_unity(p)[digits[:, s.block_slices[i]] @ ai % p]
+        values = block_vals if values is None else values * block_vals
+    return np.ones(digits.shape[0], dtype=np.complex128) if values is None else values
+
+
+@pytest.mark.parametrize("s", REFERENCE_SHAPES, ids=repr)
+def test_char_values_match_crt_reference(s):
+    xs = _sample(s)
+    everything = _crt_digits(s)
+    for flat in [0, 1, s.X - 1] + list(_sample(s, 5, seed=2)[2:]):
+        a = CharacterIndex.from_flat(int(flat), s)
+        assert np.array_equal(char_values(a, s), _reference_char_values(a, s, everything))
+        assert np.array_equal(char_values(a, s, xs),
+                              _reference_char_values(a, s, everything[xs]))
+
+
+@pytest.mark.parametrize("s", REFERENCE_SHAPES, ids=repr)
+def test_embed_inputs_match_crt_reference(s):
+    xs = _sample(s)
+    digits = _crt_digits(s, xs).astype(np.float64)
+    angles = 2.0 * np.pi * digits / s.digit_primes[None, :]
+    expected = np.empty((xs.shape[0], 2 * s.d))
+    expected[:, 0::2] = np.cos(angles)
+    expected[:, 1::2] = np.sin(angles)
+    assert np.array_equal(embed_inputs(s, xs), expected)
+
+
+@pytest.mark.parametrize("s", MIXED, ids=repr)
+def test_type_histograms_match_type_tuples(s):
+    hists = _type_histograms(s)
+    assert hists.shape == (s.X, sum(s.primes))
+    for flat in range(0, s.X, max(1, s.X // 500)):
+        tt = CharacterIndex.from_flat(flat, s).type_tuple
+        assert tuple(hists[flat]) == tuple(m for block in tt for m in block)
+
+
+@pytest.mark.parametrize("s", REFERENCE_SHAPES, ids=repr)
+def test_syndromes_match_per_block_sums(s):
+    gens = [int(g) for g in _sample(s, 2, seed=3)[1:]]  # keys stay below 2^63
+    keys = SubgroupSpec(gens, s).syndromes()
+    gen_digits = [[t for block in s.encode(g) for t in block] for g in gens]
+    for flat in _sample(s, 200, seed=4):
+        a = CharacterIndex.from_flat(int(flat), s)
+        key, mult = 0, 1
+        for i, p in enumerate(s.primes):
+            sl = s.block_slices[i]
+            for gd in gen_digits:
+                key += sum(t * u for t, u in zip(a.digits[sl], gd[sl])) % p * mult
+                mult *= p
+        assert keys[flat] == key
+
+
+@pytest.mark.parametrize("p,rows,b", [
+    (3, [[1, 0, 2, 0, 0, 1], [0, 1, 1, 0, 0, 0]], [1, 2]),
+    (2, [[1] * 10], [1]),
+    (5, [[0, 1, 2, 3]], [3]),
+])
+def test_digit_condition_fiber_matches_crt_reference(p, rows, b):
+    L = make_linear_map(p, rows)
+    s = GroupShape([p], [L.d])
+    in_fiber = (L.apply(_crt_digits(s)) == np.array(b)[None, :]).all(axis=1)
+    table = sieve("von_mangoldt", s.X)
+    is_p = np.array([n >= 2 and all(n % q for q in range(2, int(n**0.5) + 1))
+                     for n in range(s.X)])
+    out = count_primes_digit_condition(L, b, s)
+    assert out["count"] == int(np.count_nonzero(is_p & in_fiber))
+    assert out["lambda_sum"] == float(table.values[in_fiber].sum())
+
+
+def test_no_digit_matrix_on_consumer_paths(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an (X, d) digit matrix was built")
+
+    monkeypatch.setattr(GroupShape, "digits_matrix", refuse)
+    monkeypatch.setattr(GroupShape, "char_digits_matrix", refuse)
+    s = GroupShape([2, 3, 5], [2, 1, 1])
+    h = sieve("mobius", s.X).values.astype(np.float64)
+    spec = group_spectrum(h, s)
+    char_values(CharacterIndex.from_flat(37, s), s)
+    s.translation(41)
+    embed_inputs(s)
+    rotate_first_layer(MlpModel(s, [4]), 41, s)
+    alignment_semidirect(spec, s)
+    alignment_subgroup(spec, s, SubgroupSpec([7, 30, 45], s))
+    count_primes_digit_condition(make_linear_map(3, [[1, 0, 2, 1]]), [1],
+                                 GroupShape([3], [4]))
