@@ -101,14 +101,17 @@ class SubgroupSpec:
         for g in self.generators:
             if not 0 <= g < shape.X:
                 raise ArgumentError(f"generator {g} outside [0, {shape.X})")
-        # per-block generator digit matrices over F_p
-        self._gen_digits = np.array(
+        # per-block row-reduced generator digit matrices over F_p: their
+        # rows span the same row space as the generators, with no more
+        # rows than the block's rank
+        gen_digits = np.array(
             [flatten_digits(shape.encode(g)) for g in self.generators],
             dtype=np.int64).reshape(len(self.generators), shape.d)
-        self.block_ranks = tuple(
-            _rref_mod_p(self._gen_digits[:, shape.block_slices[i]], p)[1]
-            for i, p in enumerate(shape.primes)
-        )
+        self._block_rows = []
+        for i, p in enumerate(shape.primes):
+            rref, rank, _ = _rref_mod_p(gen_digits[:, shape.block_slices[i]], p)
+            self._block_rows.append(rref[:rank])
+        self.block_ranks = tuple(rows.shape[0] for rows in self._block_rows)
         self.subgroup_order = 1
         self.annihilator_order = 1
         for i, p in enumerate(shape.primes):
@@ -117,18 +120,20 @@ class SubgroupSpec:
 
     def syndromes(self) -> np.ndarray:
         """(X,) keys: the evaluation exponents of every character on each
-        generator, blockwise mod p_i, packed little-endian over (block,
-        generator)."""
+        row of the blockwise row-reduced generator matrix, mod p_i, packed
+        little-endian over (block, row).  Two characters share a key
+        exactly when they agree on every generator, and every key is
+        below the subgroup order, so it fits in int64."""
         shape = self.shape
         idx = np.arange(shape.X, dtype=np.int64)
-        # per (block, generator) residue, combined little-endian
         key = np.zeros(shape.X, dtype=np.int64)
         mult = 1
         for i, p in enumerate(shape.primes):
             s = shape.block_slices[i]
-            res = np.zeros((len(self.generators), shape.X), dtype=np.int64)
+            rows = self._block_rows[i]
+            res = np.zeros((rows.shape[0], shape.X), dtype=np.int64)
             for j in range(s.start, s.stop):
-                res += self._gen_digits[:, j, None] * shape.digit(j, idx)
+                res += rows[:, j - s.start, None] * shape.digit(j, idx)
             for row in res % p:
                 key += row * mult
                 mult *= p
@@ -138,15 +143,15 @@ class SubgroupSpec:
 def alignment_subgroup(spec: Spectrum, shape: GroupShape,
                        sub: SubgroupSpec) -> AlignmentResult:
     """max over cosets of the dual modulo the subgroup's annihilator of
-    the spectral mass in the coset."""
+    the spectral mass in the coset.  The syndromes number the cosets
+    0 .. subgroup_order - 1; ties go to the coset that holds the smallest
+    character index, which is the witness."""
     power = np.abs(spec.coeffs) ** 2
     keys = sub.syndromes()
-    uniq, inverse = np.unique(keys, return_inverse=True)
-    masses = np.bincount(inverse, weights=power, minlength=uniq.shape[0])
-    best = int(np.argmax(masses))
-    in_best = np.flatnonzero(inverse == best)
-    rep = CharacterIndex.from_flat(int(in_best[0]), shape)
-    return AlignmentResult(float(masses[best]), rep, "subgroup")
+    masses = np.bincount(keys, weights=power, minlength=sub.subgroup_order)
+    best = masses.max()
+    rep = CharacterIndex.from_flat(int(np.argmax(masses[keys] == best)), shape)
+    return AlignmentResult(float(best), rep, "subgroup")
 
 
 def alignment_gram_oracle(table, shape: GroupShape, elements) -> float:

@@ -3,6 +3,13 @@
 Tables are dense over [0, X) with the convention that index 0 carries
 value 0 for every kind.  All sieves run segmented (segment size 2**22)
 so results are identical regardless of table size.
+
+The Möbius and Liouville kernel works on strided slices ``[start::q]``
+of two dense buffers, one slice per root prime power q, with no index
+arrays and no integer division: an int8 sign and an int64 product of
+the root-prime part of each entry.  One comparison of that product
+against the entry then accounts for the single prime factor above the
+square root that an entry can have.
 """
 
 from __future__ import annotations
@@ -91,47 +98,35 @@ class ArithmeticTable:
             self.pp_exp.setflags(write=False)
 
 
-def _factor_segment(lo: int, hi: int, root_primes: np.ndarray):
-    """Per-entry (omega, squarefree) for n in [lo, hi) via trial slicing.
-
-    omega counts prime factors with multiplicity; a single prime factor
-    above sqrt(limit) is accounted for by the leftover residual.
-    """
-    n = hi - lo
-    residual = np.arange(lo, hi, dtype=np.int64)
-    omega = np.zeros(n, dtype=np.int16)
-    squarefree = np.ones(n, dtype=bool)
-    for p in root_primes:
-        p = int(p)
-        start = max(lo + (-lo) % p, p)
-        if start >= hi:
-            continue
-        idx = np.arange(start - lo, hi - lo, p)
-        residual[idx] //= p
-        omega[idx] += 1
-        mask = residual[idx] % p == 0
-        squarefree[idx[mask]] = False
-        while mask.any():
-            idx = idx[mask]
-            residual[idx] //= p
-            omega[idx] += 1
-            mask = residual[idx] % p == 0
-    big = residual > 1
-    omega[big] += 1
-    return omega, squarefree
-
-
 def _sieve_mobius_liouville(kind: str, limit: int, segment_size: int) -> np.ndarray:
+    # Each segment [lo, hi) is sieved on strided views only.  For every
+    # root prime p and power q = p^k < hi, the view of multiples of q
+    # (from q on) gets prod *= p and one sign flip, so afterwards prod is
+    # the part of n built from primes <= sqrt(limit - 1) and sign is
+    # (-1)^(its prime factor count); for mobius a view with k >= 2 is
+    # zeroed instead and higher powers are skipped.  n / prod is then 1
+    # or a single prime above the root, so prod < n flips the sign once
+    # more.
     values = np.empty(limit, dtype=np.int8)
-    root_primes = primes_up_to(math.isqrt(max(limit - 1, 0)))
+    root_primes = [int(p) for p in primes_up_to(math.isqrt(max(limit - 1, 0)))]
     for lo in range(0, limit, segment_size):
         hi = min(lo + segment_size, limit)
-        omega, squarefree = _factor_segment(lo, hi, root_primes)
-        sign = (1 - 2 * (omega & 1)).astype(np.int8)
-        if kind == "mobius":
-            values[lo:hi] = np.where(squarefree, sign, 0)
-        else:
-            values[lo:hi] = sign
+        n = hi - lo
+        sign = values[lo:hi]
+        sign.fill(1)
+        prod = np.ones(n, dtype=np.int64)
+        for p in root_primes:
+            q = p
+            while q < hi:
+                view = slice(max(lo + (-lo) % q, q) - lo, n, q)
+                if kind == "mobius" and q > p:
+                    sign[view] = 0
+                    break
+                prod[view] *= p
+                np.negative(sign[view], out=sign[view])
+                q *= p
+        big = prod < np.arange(lo, hi, dtype=np.int64)
+        np.negative(sign, out=sign, where=big)
     values[0] = 0
     return values
 
@@ -229,10 +224,16 @@ def load_table(path: str) -> ArithmeticTable:
         if code >= len(KINDS):
             raise ArgumentError(f"unknown kind code {code} in table dump")
         kind = KINDS[code]
+        cap = memory_cap()
+        if limit > cap:
+            raise ResourceError(f"table dump header says {limit} entries; "
+                                f"memory cap is {cap} entries")
         dtype = np.dtype("<f8" if kind == "von_mangoldt" else np.int8)
-        payload = fh.read()
-    if len(payload) != dtype.itemsize * limit:
-        raise ArgumentError(f"table dump holds {len(payload)} payload bytes; its "
+        size = dtype.itemsize * limit
+        payload = fh.read(size + 1)
+    if len(payload) != size:
+        held = "more than " + str(size) if len(payload) > size else str(len(payload))
+        raise ArgumentError(f"table dump holds {held} payload bytes; its "
                             f"header says {limit} entries of {dtype.itemsize} bytes")
     values = np.frombuffer(payload, dtype=dtype).copy()
     if kind == "von_mangoldt":

@@ -249,16 +249,26 @@ class NgdConfig:
             raise ArgumentError("need T >= 0, R > 0, tau >= 0, eps > 0")
 
 
-def ngd_train(model: MlpModel, target, shape: GroupShape, cfg: NgdConfig) -> dict:
-    """Population-gradient descent with per-example clipping and Gaussian
-    parameter noise N(0, tau^2 I) each step."""
+def _full_embedding(shape: GroupShape) -> np.ndarray:
+    """embed_inputs over the whole group, refused above NGD_X_CAP before
+    anything is allocated."""
     if shape.X > NGD_X_CAP:
         raise ResourceError(f"X = {shape.X} exceeds the exact-gradient cap {NGD_X_CAP}")
+    return embed_inputs(shape)
+
+
+def ngd_train(model: MlpModel, target, shape: GroupShape, cfg: NgdConfig, *,
+              _inputs: np.ndarray | None = None) -> dict:
+    """Population-gradient descent with per-example clipping and Gaussian
+    parameter noise N(0, tau^2 I) each step.  ``_inputs`` is the caller's
+    ``embed_inputs(shape)``, passed in by ngd_experiment so that its
+    trials share one embedding."""
+    inputs = _full_embedding(shape) if _inputs is None else _inputs
     h = np.asarray(target, dtype=np.float64)
     if h.shape[0] != shape.X:
         raise ArgumentError(f"target length {h.shape[0]} != X = {shape.X}")
     baseline = cfg.baseline if cfg.baseline is not None else np.zeros(shape.X)
-    ws = _Workspace(model, embed_inputs(shape))
+    ws = _Workspace(model, inputs)
     rng = np.random.default_rng(cfg.seed)
     n_params = model.get_flat().size
     w = np.empty(shape.X)
@@ -304,11 +314,12 @@ def ngd_experiment(target, shape: GroupShape, cfg: NgdConfig, trials: int,
         raise ArgumentError("tau must be > 0 for the bound comparison")
     h = np.asarray(target, dtype=np.float64)
     baseline = cfg.baseline if cfg.baseline is not None else np.zeros(shape.X)
+    inputs = _full_embedding(shape)
     successes = 0
     for t in range(trials):
         model = MlpModel(shape, arch, seed=[_seed_entropy(cfg.seed), t, 0])
         trial_cfg = replace(cfg, seed=[_seed_entropy(cfg.seed), t, 1])
-        result = ngd_train(model, h, shape, trial_cfg)
+        result = ngd_train(model, h, shape, trial_cfg, _inputs=inputs)
         successes += bool(result["success"])
     rate = successes / trials
     A = alignment_full_group(group_spectrum(h - baseline, shape)).value

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from mspec import (
     sieve,
 )
 from mspec.alignment import _type_histograms
+from mspec.cli import run_command
 from mspec.errors import ArgumentError, ResourceError
 
 
@@ -140,6 +143,59 @@ def test_coset_masses_sum_to_norm():
     for key in np.unique(keys):
         total += power[keys == key].sum()
     assert abs(total - np.mean(f**2)) < 1e-9
+
+
+def _coset_reference(spec, s, gens):
+    """Coset masses keyed by each character's per-block sums against
+    every generator, and the smallest character index in a heaviest
+    coset, by direct iteration over the characters."""
+    gen_digits = [[t for block in s.encode(g) for t in block] for g in gens]
+    masses, first = {}, {}
+    for flat in range(s.X):
+        a = CharacterIndex.from_flat(flat, s)
+        sums = tuple(sum(t * u for t, u in zip(a.digits[sl], gd[sl])) % p
+                     for sl, p in zip(s.block_slices, s.primes) for gd in gen_digits)
+        masses[sums] = masses.get(sums, 0.0) + abs(spec.coeffs[flat]) ** 2
+        first.setdefault(sums, flat)
+    best = max(masses.values())
+    return best, min(first[k] for k, m in masses.items() if m == best)
+
+
+@pytest.mark.parametrize("text,gens", [
+    ("2*3*5*7", list(range(1, 10))),   # 210^9 per-generator keys pass 2^63
+    ("2^2*3^2", [5, 9]),
+    ("3^3", [1, 3, 10, 13]),
+])
+def test_subgroup_matches_coset_reference(text, gens):
+    s = parse_shape(text)
+    spec = group_spectrum(sieve("mobius", s.X).values.astype(np.float64), s)
+    r = alignment_subgroup(spec, s, SubgroupSpec(gens, s))
+    value, witness = _coset_reference(spec, s, gens)
+    assert abs(r.value - value) < 1e-15
+    assert r.witness.flat == witness  # ties go to the smallest index
+
+
+def test_subgroup_keys_fit_large_primes():
+    s = GroupShape([2, 131, 4099], [1, 1, 1])
+    sub = SubgroupSpec([5, 6, 7, 8], s)
+    keys = sub.syndromes()
+    assert sub.subgroup_order * sub.annihilator_order == s.X
+    assert keys.min() >= 0 and keys.max() < sub.subgroup_order
+    f = np.random.default_rng(6).normal(size=s.X)
+    spec = group_spectrum(f, s)
+    r = alignment_subgroup(spec, s, sub)
+    power = np.abs(spec.coeffs) ** 2
+    assert power.max() - 1e-12 <= r.value <= power.sum() + 1e-12
+
+
+def test_subgroup_cli_many_generators(capsys):
+    code = run_command(["align", "--shape", "2*3*5*7", "--group", "subgroup",
+                        "--generators", "1,2,3,4,5,6,7,8,9"])
+    assert code == 0
+    rec = json.loads(capsys.readouterr().out)
+    s = parse_shape("2*3*5*7")
+    spec = group_spectrum(sieve("mobius", s.X).values.astype(np.float64), s)
+    assert rec["result"]["value"] == alignment_full_group(spec).value
 
 
 def test_gram_oracle_examples():

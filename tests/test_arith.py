@@ -1,12 +1,14 @@
+import functools
 import math
 import os
 
 import numpy as np
 import pytest
 from fractions import Fraction
+from hypothesis import example, given, settings, strategies as st
 
 from mspec import sieve, nu_p_weight, dump_table, load_table
-from mspec.arith import memory_cap, primes_up_to, is_prime
+from mspec.arith import SEGMENT_SIZE, memory_cap, primes_up_to, is_prime
 from mspec.errors import ArgumentError, ResourceError
 
 from conftest import brute_force_factor
@@ -79,6 +81,60 @@ def test_segmented_matches_monolithic():
         assert np.array_equal(seg.values, mono.values)
 
 
+REFERENCE_LIMIT = 3 * 10**5 + 1
+
+
+@functools.lru_cache(maxsize=None)
+def _trial_division_reference():
+    """(mobius, liouville) on [0, REFERENCE_LIMIT) by dividing every entry
+    by each prime up to the root until it no longer divides; the primes
+    come from a plain list sieve, so nothing here shares code with
+    mspec.arith."""
+    root = math.isqrt(REFERENCE_LIMIT - 1)
+    is_p = [True] * (root + 1)
+    primes = []
+    for d in range(2, root + 1):
+        if is_p[d]:
+            primes.append(d)
+            for m in range(d * d, root + 1, d):
+                is_p[m] = False
+    residual = np.arange(REFERENCE_LIMIT, dtype=np.int64)
+    omega = np.zeros(REFERENCE_LIMIT, dtype=np.int64)
+    squarefree = np.ones(REFERENCE_LIMIT, dtype=bool)
+    for p in primes:
+        exp = np.zeros(REFERENCE_LIMIT, dtype=np.int64)
+        hit = (residual % p == 0) & (residual > 0)
+        while hit.any():
+            residual[hit] //= p
+            exp += hit
+            hit = (residual % p == 0) & (residual > 0)
+        omega += exp
+        squarefree &= exp < 2
+    omega += residual > 1  # one prime factor above the root
+    liouville = np.where(omega % 2 == 0, 1, -1).astype(np.int8)
+    mobius = np.where(squarefree, liouville, 0).astype(np.int8)
+    mobius[0] = liouville[0] = 0
+    return {"mobius": mobius, "liouville": liouville}
+
+
+# Odd segment sizes put segment starts inside runs of prime powers and
+# large primes at segment edges; 547^2 + 1 ends the table just past the
+# square of its largest root prime, and limits 3 and 4 have no root
+# primes at all.
+@settings(max_examples=20, deadline=None)
+@given(kind=st.sampled_from(["mobius", "liouville"]),
+       limit=st.integers(1, REFERENCE_LIMIT - 1),
+       segment_size=st.sampled_from([7**3, 1025, 4099, SEGMENT_SIZE]))
+@example(kind="mobius", limit=547**2 + 1, segment_size=7**3)
+@example(kind="liouville", limit=547**2 + 1, segment_size=4099)
+@example(kind="mobius", limit=3, segment_size=7**3)
+@example(kind="liouville", limit=4, segment_size=SEGMENT_SIZE)
+def test_sieve_matches_trial_division_reference(kind, limit, segment_size):
+    got = sieve(kind, limit, segment_size=segment_size).values
+    assert got.dtype == np.int8
+    assert np.array_equal(got, _trial_division_reference()[kind][:limit])
+
+
 def test_sieve_errors():
     with pytest.raises(ArgumentError):
         sieve("totient", 10)
@@ -136,6 +192,29 @@ def test_load_rejects_truncated_dump(tmp_path):
             fh.write(cut)
         with pytest.raises(ArgumentError):
             load_table(bad)
+
+
+def test_load_rejects_overlong_dump(tmp_path):
+    path = str(tmp_path / "mobius.bin")
+    dump_table(sieve("mobius", 1000), path)
+    with open(path, "ab") as fh:
+        fh.write(b"\x00" * (1 << 20))
+    with pytest.raises(ArgumentError, match="holds more than 1000 payload bytes"):
+        load_table(path)
+
+
+def test_load_refuses_header_above_cap(tmp_path, monkeypatch):
+    path = str(tmp_path / "mobius.bin")
+    dump_table(sieve("mobius", 1000), path)
+    with open(path, "r+b") as fh:
+        fh.seek(8)
+        fh.write((1 << 40).to_bytes(8, "little"))
+    with pytest.raises(ResourceError, match="memory cap"):
+        load_table(path)
+    monkeypatch.setenv("MSPC_MEM_CAP", "999")
+    dump_table(sieve("mobius", 1000, mem_cap=1000), path)
+    with pytest.raises(ResourceError, match="memory cap is 999"):
+        load_table(path)
 
 
 def test_load_rejects_unknown_kind(tmp_path):

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -211,3 +214,17 @@ def test_nonpositive_counts_rejected_by_library():
     for hidden in ([0], [4, -2]):
         with pytest.raises(ArgumentError, match="widths"):
             MlpModel(shape, hidden)
+
+
+def test_module_entry_point_runs_the_cli():
+    src = os.path.dirname(os.path.dirname(mspec.cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    bad = subprocess.run([sys.executable, "-m", "mspec.cli", "sieve", "--limit", "10",
+                          "--no-such-flag"], env=env, capture_output=True, text=True)
+    assert bad.returncode == 2
+    assert "--no-such-flag" in bad.stderr and "Traceback" not in bad.stderr
+    ok = subprocess.run([sys.executable, "-m", "mspec.cli", "sieve", "--function", "mobius",
+                         "--limit", "10"], env=env, capture_output=True, text=True)
+    assert ok.returncode == 0
+    assert json.loads(ok.stdout)["command"] == "sieve"

@@ -333,18 +333,26 @@ def test_type_histograms_match_type_tuples(s):
 
 @pytest.mark.parametrize("s", REFERENCE_SHAPES, ids=repr)
 def test_syndromes_match_per_block_sums(s):
-    gens = [int(g) for g in _sample(s, 2, seed=3)[1:]]  # keys stay below 2^63
-    keys = SubgroupSpec(gens, s).syndromes()
+    # five generators: packed one digit per generator, the keys of most
+    # shapes here would pass 2^63
+    gens = [int(g) for g in _sample(s, 4, seed=3)[1:]]
+    sub = SubgroupSpec(gens, s)
+    keys = sub.syndromes()
+    # the keys number the cosets of the annihilator, all of one size
+    assert keys.dtype == np.int64
+    assert keys.min() >= 0 and keys.max() < sub.subgroup_order
+    assert np.all(np.bincount(keys, minlength=sub.subgroup_order)
+                  == sub.annihilator_order)
+    # two characters share a key exactly when every per-block sum
+    # against every generator agrees
     gen_digits = [[t for block in s.encode(g) for t in block] for g in gens]
+    key_of_sums = {}
     for flat in _sample(s, 200, seed=4):
         a = CharacterIndex.from_flat(int(flat), s)
-        key, mult = 0, 1
-        for i, p in enumerate(s.primes):
-            sl = s.block_slices[i]
-            for gd in gen_digits:
-                key += sum(t * u for t, u in zip(a.digits[sl], gd[sl])) % p * mult
-                mult *= p
-        assert keys[flat] == key
+        sums = tuple(sum(t * u for t, u in zip(a.digits[sl], gd[sl])) % p
+                     for sl, p in zip(s.block_slices, s.primes) for gd in gen_digits)
+        assert key_of_sums.setdefault(sums, keys[flat]) == keys[flat]
+    assert len(set(key_of_sums.values())) == len(key_of_sums)
 
 
 @pytest.mark.parametrize("p,rows,b", [

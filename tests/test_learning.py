@@ -116,6 +116,26 @@ def test_ngd_caps_and_errors():
         ngd_train(MlpModel(big, [2]), np.zeros(big.X), big, NgdConfig(T=1))
 
 
+def test_ngd_experiment_embeds_once(monkeypatch):
+    import mspec.learning
+
+    calls = []
+
+    def counting(shape, xs=None):
+        calls.append(xs)
+        return embed_inputs(shape, xs)
+
+    monkeypatch.setattr(mspec.learning, "embed_inputs", counting)
+    s = GroupShape([2], [5])
+    ngd_experiment(np.zeros(s.X), s, NgdConfig(T=2, tau=0.05), trials=4, arch=[4])
+    assert calls == [None]
+    big = GroupShape([2], [21])
+    with pytest.raises(ResourceError):
+        ngd_experiment(np.zeros(big.X), big, NgdConfig(T=1, tau=0.05), trials=1,
+                       arch=[2])
+    assert calls == [None]  # refused before any embedding is built
+
+
 def test_csq_null_replay():
     s = GroupShape([2], [6])
     h = sieve("mobius", s.X).values.astype(float)
