@@ -6,10 +6,11 @@ so results are identical regardless of table size.
 
 The Möbius and Liouville kernel works on strided slices ``[start::q]``
 of two dense buffers, one slice per root prime power q, with no index
-arrays and no integer division: an int8 sign and an int64 product of
-the root-prime part of each entry.  One comparison of that product
-against the entry then accounts for the single prime factor above the
-square root that an entry can have.
+arrays and no integer division: an int8 sign and a product of the
+root-prime part of each entry, uint32 up to 2**32 entries and int64
+above.  One comparison of that product against the entry then accounts
+for the single prime factor above the square root that an entry can
+have.
 """
 
 from __future__ import annotations
@@ -109,12 +110,14 @@ def _sieve_mobius_liouville(kind: str, limit: int, segment_size: int) -> np.ndar
     # more.
     values = np.empty(limit, dtype=np.int8)
     root_primes = [int(p) for p in primes_up_to(math.isqrt(max(limit - 1, 0)))]
+    # prod never exceeds its entry, which is below limit
+    word = np.uint32 if limit <= 1 << 32 else np.int64
     for lo in range(0, limit, segment_size):
         hi = min(lo + segment_size, limit)
         n = hi - lo
         sign = values[lo:hi]
         sign.fill(1)
-        prod = np.ones(n, dtype=np.int64)
+        prod = np.ones(n, dtype=word)
         for p in root_primes:
             q = p
             while q < hi:
@@ -125,7 +128,7 @@ def _sieve_mobius_liouville(kind: str, limit: int, segment_size: int) -> np.ndar
                 prod[view] *= p
                 np.negative(sign[view], out=sign[view])
                 q *= p
-        big = prod < np.arange(lo, hi, dtype=np.int64)
+        big = prod < np.arange(lo, hi, dtype=word)
         np.negative(sign, out=sign, where=big)
     values[0] = 0
     return values

@@ -75,7 +75,7 @@ def _function_values(name: str, X: int) -> np.ndarray:
 
 def _add_common(p: argparse.ArgumentParser, shape=True, function=True):
     if shape:
-        p.add_argument("--shape", required=True,
+        p.add_argument("--shape", required=True, type=_shape_literal,
                        help='group shape literal, e.g. "2^2*3^1"')
     if function:
         p.add_argument("--function", default="mobius",
@@ -88,8 +88,15 @@ def _add_common(p: argparse.ArgumentParser, shape=True, function=True):
                    help="override the memory cap, in table entries")
 
 
+def _int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+
+
 def _positive_int(text: str) -> int:
-    value = int(text)
+    value = _int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
@@ -97,6 +104,20 @@ def _positive_int(text: str) -> int:
 
 def _positive_ints(text: str) -> list:
     return [_positive_int(w) for w in text.split(",")]
+
+
+def _ints(text: str) -> list:
+    """Comma-separated integers; empty text is the empty list."""
+    return [_int(w) for w in text.split(",")] if text.strip() else []
+
+
+def _shape_literal(text: str) -> str:
+    """A shape literal that parse_shape accepts, returned unchanged."""
+    try:
+        parse_shape(text)
+    except ArgumentError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return text
 
 
 def _write_plot(path: str, header: list, rows: list) -> None:
@@ -169,8 +190,7 @@ def _cmd_align(args):
     elif args.group == "semidirect":
         res = alignment_semidirect(spec, shape)
     else:
-        gens = [int(g) for g in args.generators.split(",")] if args.generators else []
-        res = alignment_subgroup(spec, shape, SubgroupSpec(gens, shape))
+        res = alignment_subgroup(spec, shape, SubgroupSpec(args.generators, shape))
     return res.record(shape, {"group": args.group}), None
 
 
@@ -294,9 +314,8 @@ def _cmd_csq(args):
 
 
 def _cmd_decay_table(args):
-    dims = [int(d) for d in args.dims.split(",")]
     rows = []
-    for d in dims:
+    for d in args.dims:
         shape = GroupShape([args.p], [d])
         values = _function_values(args.function, shape.X)
         spec = group_spectrum(values, shape)
@@ -335,7 +354,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--group", choices=["full", "semidirect", "subgroup"],
                    default="full")
-    p.add_argument("--generators", help="comma-separated subgroup generators")
+    p.add_argument("--generators", type=_ints, default=[],
+                   help="comma-separated subgroup generators")
     p.set_defaults(handler=_cmd_align)
 
     p = sub.add_parser("gram-oracle", help="Gram-matrix alignment oracle")
@@ -401,7 +421,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decay-table", help="max coefficient across sizes")
     _add_common(p, shape=False)
     p.add_argument("--p", type=int, default=2)
-    p.add_argument("--dims", default="10,14,18", help="comma-separated degrees")
+    p.add_argument("--dims", type=_positive_ints, default="10,14,18",
+                   help="comma-separated degrees")
     p.set_defaults(handler=_cmd_decay_table)
 
     return parser

@@ -357,11 +357,12 @@ def parse_shape(text: str) -> GroupShape:
         part = part.strip()
         if not part:
             raise ArgumentError(f"empty factor in shape literal {text!r}")
-        if "^" in part:
-            p_str, e_str = part.split("^", 1)
-            p, e = int(p_str), int(e_str)
-        else:
-            p, e = int(part), 1
+        p_str, caret, e_str = part.partition("^")
+        try:
+            p, e = int(p_str), int(e_str) if caret else 1
+        except ValueError:
+            raise ArgumentError(f"bad factor {part!r} in shape literal {text!r}; "
+                                "expected p or p^e with integers p, e") from None
         primes.append(p)
         exponents.append(e)
     return GroupShape(primes, exponents)

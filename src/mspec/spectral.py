@@ -1,6 +1,17 @@
 """Fourier analysis on the digit group and on Z/XZ.
 
 Forward transforms carry the factor 1/X; synthesis carries none.
+
+The group transform is the tensor product of one length-p DFT per digit.
+It splits the digits into runs of consecutive digits of one prime p with
+p^k <= 32 (a single digit when p > 32) and applies each run's Kronecker
+DFT matrix, the (p^k, p^k) table roots_of_unity(p)[(+-A.A^T) mod p] over
+the run's digit vectors A, as one gemm.  Each gemm reads the run as the
+most significant digits and writes it as the least significant ones, so
+the layout rotates by the run's length and is back in order after the
+last run.  A prime above 128 takes one numpy FFT per digit instead, with
+the same rotation; there the FFT is the cheaper of the two.
+
 The additive-Fourier coefficients of a digital character factor through
 the CRT into one length-p^d DFT per block; those block coefficients
 drive the norm-bound checkers and the frequency-truncated characters.
@@ -14,6 +25,7 @@ import math
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -24,19 +36,28 @@ from .group import CharacterIndex, GroupShape, char_values, roots_of_unity
 SPECTRUM_CAP = 1 << 26
 BLOCK_CAP = 1 << 26
 SUM_BLOCK = 4096
+# k digits of a prime p form one gemm run while p^k <= _RUN_BOUND; a
+# single digit is one up to p = _GEMM_PRIME_BOUND, above which numpy's FFT
+# is the cheaper transform
+_RUN_BOUND = 32
+_GEMM_PRIME_BOUND = 128
 
 _SPECTRUM_MAGIC = b"MSPS"
 
 
 def _as_values(table, X: int) -> np.ndarray:
-    """The table as float64, or complex128 when it is complex; always finite."""
+    """The table as float64, or complex128 when it is complex; always finite.
+
+    Not a copy when the table already has that dtype: callers only read it.
+    """
     if isinstance(table, ArithmeticTable):
         values = table.values
     else:
         values = np.asarray(table)
     if values.shape[0] != X:
         raise ArgumentError(f"table length {values.shape[0]} != X = {X}")
-    values = values.astype(np.complex128 if np.iscomplexobj(values) else np.float64)
+    values = values.astype(np.complex128 if np.iscomplexobj(values) else np.float64,
+                           copy=False)
     if not np.isfinite(values).all():
         raise ArgumentError("table holds NaN or infinite values")
     return values
@@ -84,27 +105,63 @@ class Spectrum:
         return complex(self.coeffs[flat_index])
 
 
+@lru_cache(maxsize=64)
+def _kron_dft(p: int, k: int, sign: int) -> np.ndarray:
+    """The DFT matrix of (Z/p)^k with kernel e(sign * a.c / p), both indices
+    little-endian base p; symmetric, and real for p = 2."""
+    n = p**k
+    digits = np.arange(n)[:, None] // p ** np.arange(k) % p
+    m = roots_of_unity(p)[(sign * (digits @ digits.T)) % p]
+    if p == 2:
+        m = m.real.copy()
+    m.setflags(write=False)
+    return m
+
+
+def _runs(shape: GroupShape) -> list:
+    """(p, k) per run of k consecutive digits of one prime, least
+    significant first.  A block splits into as few runs with p^k <=
+    _RUN_BOUND as it can, of near-equal length; a prime above that bound
+    gives one run per digit."""
+    runs = []
+    for p, e in zip(shape.primes, shape.exponents):
+        kmax = 1
+        while p ** (kmax + 1) <= _RUN_BOUND:
+            kmax += 1
+        count = -(-e // kmax)
+        base, extra = divmod(e, count)
+        runs += [(p, base + (i < extra)) for i in range(count)]
+    return runs
+
+
 def _axis_transform(t: np.ndarray, shape: GroupShape, sign: int) -> np.ndarray:
     """Unnormalized DFT with kernel e(sign * a_j x_j / p_j) along every digit
-    axis of the flat character layout.
+    of the flat character layout; t is read, never written.
 
-    Digit j's axis is the middle one of t.reshape(m, p_j, stride_j).
-    Radix-2 axes (the lowest digits, as 2 is the smallest prime) run first
-    as in-place butterflies, so a real t stays real through them; odd
-    radices go through numpy's FFT, O(p log p) per line for any prime p.
-    t is overwritten; the result is returned.
+    Runs go from the most significant down.  With n = p^k the run's size,
+    t.reshape(n, X // n) puts the run in the row index, so one gemm
+    t.reshape(n, X // n).T @ _kron_dft(p, k, sign) transforms it and
+    writes a contiguous (X // n, n) result: the run becomes the least
+    significant digits and every other digit moves up by k.  After the last
+    run the rotations add up to a full turn and the layout is the original
+    one, with no transpose or index.  A real t times a complex matrix is one
+    real gemm against the matrix viewed as (n, 2n) floats, whose result read
+    as complex is the product; a real t stays real through p = 2.  A prime
+    above _GEMM_PRIME_BOUND is one np.fft.fft of length p along the same
+    rows, with the same rotation.
     """
-    for j in range(shape.d):
-        p, stride = int(shape.digit_primes[j]), int(shape.digit_strides[j])
-        v = t.reshape(-1, p, stride)
-        if p == 2:
-            a = v[:, 0].copy()
-            v[:, 0] += v[:, 1]
-            np.subtract(a, v[:, 1], out=v[:, 1])
-        elif sign < 0:
-            t = np.fft.fft(v, axis=1).reshape(-1)
+    for p, k in reversed(_runs(shape)):
+        n = p**k
+        v = t.reshape(n, -1).T
+        if p > _GEMM_PRIME_BOUND:
+            t = np.fft.fft(v, axis=1) if sign < 0 else np.fft.ifft(v, axis=1, norm="forward")
         else:
-            t = np.fft.ifft(v, axis=1, norm="forward").reshape(-1)
+            m = _kron_dft(p, k, sign)
+            if t.dtype == np.float64 and m.dtype == np.complex128:
+                t = (v @ m.view(np.float64)).view(np.complex128)
+            else:
+                t = v @ m
+        t = t.reshape(-1)
     return t
 
 
@@ -116,10 +173,12 @@ def group_spectrum(table, shape: GroupShape, cap: int = SPECTRUM_CAP) -> Spectru
             "use correlation() for single coefficients"
         )
     values = _as_values(table, shape.X)
-    scattered = np.empty_like(values)
-    scattered[shape.flat_index_of(None)] = values
+    if shape.r > 1:  # with one block the layout index is x itself
+        scattered = np.empty_like(values)
+        scattered[shape.flat_index_of(None)] = values
+        values = scattered
+    coeffs = _axis_transform(values, shape, -1)
     del values
-    coeffs = _axis_transform(scattered, shape, -1)
     coeffs /= shape.X
     return Spectrum(shape, coeffs.astype(np.complex128, copy=False))
 
@@ -127,8 +186,8 @@ def group_spectrum(table, shape: GroupShape, cap: int = SPECTRUM_CAP) -> Spectru
 def inverse_transform(spec: Spectrum) -> np.ndarray:
     """f(x) = sum_a fhat(a) chi_a(x); exact inverse of group_spectrum."""
     shape = spec.shape
-    scattered = _axis_transform(spec.coeffs.copy(), shape, 1)
-    return scattered[shape.flat_index_of(None)]
+    scattered = _axis_transform(spec.coeffs, shape, 1)
+    return scattered if shape.r == 1 else scattered[shape.flat_index_of(None)]
 
 
 def correlation(table, a: CharacterIndex, shape: GroupShape) -> complex:

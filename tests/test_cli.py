@@ -203,6 +203,36 @@ def test_nonpositive_counts_rejected(argv, flag, capsys):
     assert flag in captured.err and "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("argv,flag", [
+    (["spectrum", "--shape", "2^x"], "--shape"),
+    (["spectrum", "--shape", "4^2"], "--shape"),
+    (["decay-table", "--dims", "10,x"], "--dims"),
+    (["decay-table", "--dims", "10,0"], "--dims"),
+    (["align", "--shape", "2^3", "--group", "subgroup", "--generators", "1,a"],
+     "--generators"),
+])
+def test_malformed_lists_and_shapes_fail_in_the_parser(argv, flag, capsys):
+    assert run_command(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {flag}" in captured.err and "Traceback" not in captured.err
+
+
+def test_parse_shape_names_the_bad_factor():
+    from mspec.errors import ArgumentError
+
+    with pytest.raises(ArgumentError, match=r"'3\^e'.*'2\^2\*3\^e'"):
+        parse_shape("2^2*3^e")
+
+
+def test_align_generators_parse_as_integers(capsys):
+    code, rec = run_json(["align", "--shape", "2^3", "--group", "subgroup",
+                          "--generators", "1,2"], capsys)
+    assert code == 0 and rec["params"]["generators"] == [1, 2]
+    code, rec = run_json(["align", "--shape", "2^3", "--group", "subgroup"], capsys)
+    assert code == 0 and rec["params"]["generators"] == []
+
+
 def test_nonpositive_counts_rejected_by_library():
     from mspec import MlpModel
     from mspec.errors import ArgumentError

@@ -157,6 +157,62 @@ def test_inverse_transform_roundtrip(s, seed):
     assert np.max(np.abs(inverse_transform(group_spectrum(f, s)) - f)) <= 1e-12
 
 
+# runs of one prime with p^k <= 32 are one gemm each and a block longer
+# than a run splits; a prime above 32 is a run of one digit, and above 128
+# it takes the FFT
+RUN_BOUND_SHAPES = [
+    GroupShape([2], [7]),
+    GroupShape([2], [11]),
+    GroupShape([3, 5], [4, 2]),
+    GroupShape([31], [2]),
+    GroupShape([2, 37], [1, 1]),
+    GroupShape([2, 3, 5, 7, 11], [2, 1, 1, 1, 1]),
+    GroupShape([3, 131], [1, 2]),
+]
+
+
+@pytest.mark.parametrize("s", RUN_BOUND_SHAPES, ids=repr)
+@pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+def test_spectrum_matches_fftn_reference_across_run_bound(s, real):
+    rng = np.random.default_rng(s.X)
+    f = rng.normal(size=s.X)
+    if not real:
+        f = f + 1j * rng.normal(size=s.X)
+    assert np.max(np.abs(group_spectrum(f, s).coeffs - fftn_reference(f, s))) <= 1e-12
+
+
+@pytest.mark.parametrize("d", [5, 11, 16])
+def test_integer_spectrum_bit_identical_across_run_bound(d):
+    s = GroupShape([2], [d])
+    rng = np.random.default_rng(d)
+    for f in (sieve("mobius", s.X).values, rng.integers(-9, 10, size=s.X)):
+        assert np.array_equal(group_spectrum(f, s).coeffs, fftn_reference(f, s))
+
+
+@pytest.mark.parametrize("s", RUN_BOUND_SHAPES, ids=repr)
+def test_inverse_transform_roundtrip_across_run_bound(s):
+    rng = np.random.default_rng(s.X + 1)
+    f = rng.normal(size=s.X) + 1j * rng.normal(size=s.X)
+    assert np.max(np.abs(inverse_transform(group_spectrum(f, s)) - f)) <= 1e-12
+
+
+@pytest.mark.parametrize("s", [GroupShape([2], [6]), GroupShape([3], [4]),
+                               GroupShape([2, 3, 5], [2, 1, 1])], ids=repr)
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_transforms_never_write_their_input(s, dtype):
+    rng = np.random.default_rng(5)
+    f = rng.normal(size=s.X).astype(dtype)
+    kept = f.copy()
+    spec = group_spectrum(f, s)
+    assert np.array_equal(f, kept)
+    f.setflags(write=False)
+    assert np.array_equal(group_spectrum(f, s).coeffs, spec.coeffs)
+    coeffs = spec.coeffs.copy()
+    back = inverse_transform(spec)
+    assert np.array_equal(spec.coeffs, coeffs)
+    assert np.max(np.abs(back - f)) <= 1e-12
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_spectrum_rejects_nonfinite_table(bad):
     s = GroupShape([2, 3], [2, 1])
