@@ -159,11 +159,12 @@ def alignment_gram_oracle(table, shape: GroupShape, elements) -> float:
 
     Gram entries are (1/X) sum_x h(g + x) conj(h(g' + x)) with + the
     digitwise group law; the quotient by |elements| matches the spectral
-    alignment when the elements run over the full group.
+    alignment when the elements run over the full group.  ``elements`` is
+    sized, and its length is checked against GRAM_CAP before it is read.
     """
-    elements = [int(g) for g in elements]
     if len(elements) > GRAM_CAP:
         raise ResourceError(f"{len(elements)} elements exceed the Gram cap {GRAM_CAP}")
+    elements = [int(g) for g in elements]
     if not elements:
         raise ArgumentError("elements must be nonempty")
     values = _as_values(table, shape.X)

@@ -212,10 +212,8 @@ def dump_table(table: ArithmeticTable, path: str) -> None:
         fh.write(_MAGIC)
         fh.write(struct.pack("<B3x", _KIND_CODES[table.kind]))
         fh.write(struct.pack("<Q", table.limit))
-        if table.kind == "von_mangoldt":
-            fh.write(table.values.astype("<f8").tobytes())
-        else:
-            fh.write(table.values.astype(np.int8).tobytes())
+        dtype = "<f8" if table.kind == "von_mangoldt" else np.int8
+        fh.write(np.ascontiguousarray(table.values, dtype=dtype).data)
 
 
 def load_table(path: str) -> ArithmeticTable:
@@ -238,7 +236,7 @@ def load_table(path: str) -> ArithmeticTable:
         held = "more than " + str(size) if len(payload) > size else str(len(payload))
         raise ArgumentError(f"table dump holds {held} payload bytes; its "
                             f"header says {limit} entries of {dtype.itemsize} bytes")
-    values = np.frombuffer(payload, dtype=dtype).copy()
+    values = np.frombuffer(payload, dtype=dtype)  # read-only, as the table keeps it
     if kind == "von_mangoldt":
         # pairs are reconstructed rather than stored
         rebuilt = sieve(kind, limit)

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import time
@@ -17,10 +16,11 @@ import time
 import numpy as np
 
 from . import __version__
-from .arith import KINDS, dump_table, sieve
+from .arith import dump_table, sieve
 from .errors import ArgumentError, MspecError, ResourceError
 from .group import CharacterIndex, GroupShape, parse_shape
 from .spectral import (
+    SPECTRUM_CAP,
     ap_l1_sum,
     char_l1_norm,
     correlation,
@@ -31,6 +31,7 @@ from .spectral import (
     linf_bound_check,
 )
 from .alignment import (
+    GRAM_CAP,
     SubgroupSpec,
     alignment_full_group,
     alignment_gram_oracle,
@@ -44,6 +45,7 @@ from .primes import (
     parse_matrix,
 )
 from .learning import (
+    NGD_X_CAP,
     FixedFeatureStrategy,
     NgdConfig,
     binary_mult_covariance,
@@ -73,6 +75,16 @@ def _function_values(name: str, X: int) -> np.ndarray:
     return sieve(kind, X).values.astype(np.float64)
 
 
+def _table(args, shape: GroupShape, cap=None, group=()) -> np.ndarray:
+    """The --function table on shape's X: the CLI's one sieve call, made only
+    once shape.X and the X of each shape in ``group`` are within ``cap``, the
+    cap of the library call the table feeds (None: the sieve's own cap)."""
+    X = max(s.X for s in (shape, *group))
+    if cap is not None and X > cap:
+        raise ResourceError(f"X = {X} exceeds the {args.command} cap {cap}")
+    return _function_values(args.function, shape.X)
+
+
 def _add_common(p: argparse.ArgumentParser, shape=True, function=True):
     if shape:
         p.add_argument("--shape", required=True, type=_shape_literal,
@@ -81,25 +93,29 @@ def _add_common(p: argparse.ArgumentParser, shape=True, function=True):
         p.add_argument("--function", default="mobius",
                        choices=sorted(_FUNCTION_ALIASES),
                        help="arithmetic function table")
-    p.add_argument("--seed", type=int, default=0, help="RNG seed (u64)")
+    p.add_argument("--seed", type=_nonnegative_int, default=0, help="RNG seed (u64)")
     p.add_argument("--out", help="write the JSON run record here")
     p.add_argument("--plot-data", dest="plot_data", help="CSV output path")
-    p.add_argument("--mem-cap", dest="mem_cap", type=int,
+    p.add_argument("--mem-cap", dest="mem_cap", type=_positive_int,
                    help="override the memory cap, in table entries")
 
 
-def _int(text: str) -> int:
+def _int(text: str, low=None) -> int:
     try:
-        return int(text)
+        value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if low is not None and value < low:
+        raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+    return value
 
 
 def _positive_int(text: str) -> int:
-    value = _int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+    return _int(text, 1)
+
+
+def _nonnegative_int(text: str) -> int:
+    return _int(text, 0)
 
 
 def _positive_ints(text: str) -> list:
@@ -109,6 +125,12 @@ def _positive_ints(text: str) -> list:
 def _ints(text: str) -> list:
     """Comma-separated integers; empty text is the empty list."""
     return [_int(w) for w in text.split(",")] if text.strip() else []
+
+
+def _digit_string(text: str) -> list:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected decimal digits, got {text!r}")
+    return [int(ch) for ch in text]
 
 
 def _shape_literal(text: str) -> str:
@@ -133,13 +155,13 @@ def _write_plot(path: str, header: list, rows: list) -> None:
 
 def _cmd_sieve(args):
     table = sieve(_FUNCTION_ALIASES[args.function], args.limit)
-    values = table.values.astype(np.float64)
+    values = table.values  # sums of the int8 kinds are exact in float64
     if args.dump:
         dump_table(table, args.dump)
     result = {
         "limit": args.limit,
         "head": [float(v) for v in values[:16]],
-        "sum": float(values.sum()),
+        "sum": float(values.sum(dtype=np.float64)),
         "dump": args.dump,
     }
     plot = (["n", "value"], [(n, float(values[n])) for n in range(args.limit)]) \
@@ -149,8 +171,7 @@ def _cmd_sieve(args):
 
 def _cmd_spectrum(args):
     shape = parse_shape(args.shape)
-    values = _function_values(args.function, shape.X)
-    spec = group_spectrum(values, shape)
+    spec = group_spectrum(_table(args, shape, SPECTRUM_CAP), shape)
     mags = np.abs(spec.coeffs)
     # the k largest magnitudes, ties to the smaller index, without sorting
     # all X: keep every entry at least the k-th largest, sort only those
@@ -174,17 +195,15 @@ def _cmd_spectrum(args):
 
 def _cmd_correlate(args):
     shape = parse_shape(args.shape)
-    values = _function_values(args.function, shape.X)
     a = CharacterIndex.from_flat(args.char, shape)
-    c = correlation(values, a, shape)
+    c = correlation(_table(args, shape), a, shape)
     return {"char": args.char, "digits": list(a.digits),
             "coefficient": _cnum(c), "magnitude": float(abs(c))}, None
 
 
 def _cmd_align(args):
     shape = parse_shape(args.shape)
-    values = _function_values(args.function, shape.X)
-    spec = group_spectrum(values, shape)
+    spec = group_spectrum(_table(args, shape, SPECTRUM_CAP), shape)
     if args.group == "full":
         res = alignment_full_group(spec)
     elif args.group == "semidirect":
@@ -196,9 +215,8 @@ def _cmd_align(args):
 
 def _cmd_gram_oracle(args):
     shape = parse_shape(args.shape)
-    values = _function_values(args.function, shape.X)
-    elements = list(range(shape.X))
-    value = alignment_gram_oracle(values, shape, elements)
+    values = _table(args, shape, GRAM_CAP)
+    value = alignment_gram_oracle(values, shape, range(shape.X))
     spectral = alignment_full_group(group_spectrum(values, shape)).value
     return {"gram_value": value, "spectral_value": spectral,
             "difference": abs(value - spectral)}, None
@@ -206,27 +224,14 @@ def _cmd_gram_oracle(args):
 
 def _cmd_katai(args):
     shape = parse_shape(args.shape)
-    values = _function_values(args.function, shape.X)
-    if args.char is None:
-        spec = group_spectrum(values, shape)
-        flat = int(np.argmax(np.abs(spec.coeffs[1:]))) + 1
-    else:
-        flat = args.char
-    a = CharacterIndex.from_flat(flat, shape)
-    observed = abs(correlation(values, a, shape))
-    delta = args.delta if args.delta is not None else observed / 2
-    w = katai_witness(values, a, shape, delta, args.budget)
-    return {
-        "char": flat,
-        "delta": delta,
-        "observed": observed,
-        "theta": f"{w.theta.numerator}/{w.theta.denominator}",
-        "terms": [list(t) for t in w.terms],
-        "achieved": w.achieved,
-        "bound": w.bound,
-        "satisfied": w.satisfied,
-        "candidates": w.candidates,
-    }, None
+    values = _table(args, shape, SPECTRUM_CAP if args.char is None else None)
+    flat = args.char
+    if flat is None:
+        flat = int(np.argmax(np.abs(group_spectrum(values, shape).coeffs[1:]))) + 1
+    w = katai_witness(values, CharacterIndex.from_flat(flat, shape), shape,
+                      args.delta, args.budget)
+    return {**vars(w), "char": flat, "terms": [list(t) for t in w.terms],
+            "theta": f"{w.theta.numerator}/{w.theta.denominator}"}, None
 
 
 def _cmd_bounds_check(args):
@@ -242,9 +247,7 @@ def _cmd_bounds_check(args):
         for flag in ("gamma", "residues"):
             if getattr(args, flag) is None:
                 raise ArgumentError(f"--check ap needs --{flag}")
-        gamma = [int(g) for g in args.gamma.split(",")]
-        b = [int(x) for x in args.residues.split(",")]
-        result = {"ap_sum": ap_l1_sum(a, shape, gamma, b)}
+        result = {"ap_sum": ap_l1_sum(a, shape, args.gamma, args.residues)}
     else:
         result = interval_l1_sum(a, shape, args.lo, args.hi)
     result["check"] = args.check
@@ -255,9 +258,8 @@ def _cmd_bounds_check(args):
 def _cmd_digital_pnt(args):
     rows = parse_matrix(args.L)
     L = make_linear_map(args.p, rows)
-    b = [int(ch) for ch in args.b]
     shape = GroupShape([args.p], [args.d])
-    out = count_primes_digit_condition(L, b, shape)
+    out = count_primes_digit_condition(L, args.b, shape)
     ss = out.pop("singular_series")
     out["singular_series"] = ss.record()
     return out, None
@@ -293,33 +295,29 @@ def _cmd_covariance(args):
 
 def _cmd_ngd(args):
     shape = parse_shape(args.shape)
-    values = _function_values(args.function, shape.X)
     cfg = NgdConfig(T=args.T, eta=args.eta, R=args.R, tau=args.tau,
                     seed=args.seed, eps=args.eps)
     arch = args.arch or [16]
-    out = ngd_experiment(values, shape, cfg, args.trials, arch)
+    out = ngd_experiment(_table(args, shape, NGD_X_CAP), shape, cfg, args.trials, arch)
     out["arch"] = arch
     return out, None
 
 
 def _cmd_csq(args):
     shape = parse_shape(args.shape)
-    values = _function_values(args.function, shape.X)
+    values = _table(args, shape, SPECTRUM_CAP)
     strategy = FixedFeatureStrategy(shape, args.q)  # stateless: one per run
-    out = csq_bad_event_rate(
-        values, shape, lambda: strategy,
-        args.tau, args.q, args.samples, seed=args.seed,
-    )
-    return out, None
+    return csq_bad_event_rate(values, shape, lambda: strategy, args.tau, args.q,
+                              args.samples, seed=args.seed), None
 
 
 def _cmd_decay_table(args):
+    shapes = [GroupShape([args.p], [d]) for d in args.dims]
     rows = []
-    for d in args.dims:
-        shape = GroupShape([args.p], [d])
-        values = _function_values(args.function, shape.X)
-        spec = group_spectrum(values, shape)
-        rows.append((d, shape.X, float(np.abs(spec.coeffs).max())))
+    for d, shape in zip(args.dims, shapes):
+        top = np.abs(group_spectrum(_table(args, shape, SPECTRUM_CAP, shapes),
+                                    shape).coeffs).max()
+        rows.append((d, shape.X, float(top)))
     result = {"p": args.p, "table": [list(r) for r in rows],
               "strictly_decreasing": all(rows[i][2] > rows[i + 1][2]
                                          for i in range(len(rows) - 1))}
@@ -374,8 +372,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--char", type=int, required=True)
     p.add_argument("--check", choices=["linf", "l1", "ap", "interval"],
                    required=True)
-    p.add_argument("--gamma", help="per-block gamma list for ap")
-    p.add_argument("--residues", help="per-block residues for ap")
+    p.add_argument("--gamma", type=_ints, help="per-block gamma list for ap")
+    p.add_argument("--residues", type=_ints, help="per-block residues for ap")
     p.add_argument("--lo", type=int, default=0)
     p.add_argument("--hi", type=int, default=0)
     p.set_defaults(handler=_cmd_bounds_check)
@@ -385,7 +383,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--L", required=True, help='rows as digit strings, e.g. "102;011"')
-    p.add_argument("--b", required=True, help="target digits, e.g. \"0\"")
+    p.add_argument("--b", type=_digit_string, required=True,
+                   help="target digits, e.g. \"0\"")
     p.set_defaults(handler=_cmd_digital_pnt)
 
     p = sub.add_parser("lambda-balance", help="balanced prime-power correlation")

@@ -395,6 +395,8 @@ class KataiWitness:
     satisfied: bool
     evaluations: int
     candidates: int
+    observed: float  # |fhat(a)|
+    delta: float
 
 
 def _signed_order(limit: int):
@@ -414,22 +416,24 @@ def _additive_coefficient(values: np.ndarray, theta: Fraction, X: int) -> comple
     return block_pairwise_sum(values * phases) / X
 
 
-def katai_witness(table, a: CharacterIndex, shape: GroupShape, delta: float,
-                  budget: int = 10**7):
+def katai_witness(table, a: CharacterIndex, shape: GroupShape,
+                  delta: float | None = None, budget: int = 10**7):
     """Search for theta = sum s_{i,j} / p_i^(j+1) with support inside the
     support of a whose additive coefficient meets the guaranteed floor
-    (delta / (10 |a| sqrt(p_r)))^(4 |a|).
+    (delta / (10 |a| sqrt(p_r)))^(4 |a|); delta defaults to |fhat(a)|/2.
 
     Deterministic order: lexicographic over support positions, numerators
     0, 1, -1, 2, -2, ... at each.  Budget counts streamed point
     evaluations (X per candidate).
     """
-    if not 0 < delta < 0.5:
-        raise ArgumentError(f"delta must lie in (0, 1/2), got {delta}")
     if budget < 1:
         raise ArgumentError(f"budget must be >= 1, got {budget}")
     values = _as_values(table, shape.X)
     observed = abs(correlation(values, a, shape))
+    if delta is None:
+        delta = observed / 2
+    if not 0 < delta < 0.5:
+        raise ArgumentError(f"delta must lie in (0, 1/2), got {delta}")
     if observed <= delta:
         raise ArgumentError(
             f"|fhat(a)| = {observed:.6g} does not exceed delta = {delta:.6g}"
@@ -475,14 +479,15 @@ def katai_witness(table, a: CharacterIndex, shape: GroupShape, delta: float,
         candidates += 1
         witness = KataiWitness(
             tuple(terms), theta % 1, achieved, bound, achieved >= bound,
-            evaluations, candidates,
+            evaluations, candidates, observed, delta,
         )
         if witness.satisfied:
             return witness
         if best is None or achieved > best.achieved:
             best = witness
     if best is None:
-        best = KataiWitness((), Fraction(0), 0.0, bound, False, evaluations, 0)
+        best = KataiWitness((), Fraction(0), 0.0, bound, False, evaluations, 0,
+                            observed, delta)
     return best
 
 

@@ -243,6 +243,21 @@ def test_gram_oracle_caps():
         alignment_gram_oracle(np.zeros(s.X), s, [])
 
 
+def test_gram_oracle_checks_the_cap_before_reading_elements():
+    from mspec.alignment import GRAM_CAP
+
+    class Unreadable:
+        def __len__(self):
+            return GRAM_CAP + 1
+
+        def __iter__(self):
+            raise AssertionError("read the elements of an oversized request")
+
+    s = GroupShape([2], [13])
+    with pytest.raises(ResourceError, match=f"cap {GRAM_CAP}"):
+        alignment_gram_oracle(np.zeros(s.X), s, Unreadable())
+
+
 def test_learning_bounds_examples():
     assert abs(learning_bounds(0.01, {"eps": 0.1})["kernel_min_n"] - 90.0) < 1e-9
     out = learning_bounds(1e-4, {"eps": 0.01, "R": 1.0, "tau": 0.1, "T": 100})

@@ -7,8 +7,12 @@ import numpy as np
 import pytest
 
 import mspec.cli
-from mspec import (CharacterIndex, FixedFeatureStrategy, char_values,
+import mspec.spectral
+from mspec import (CharacterIndex, FixedFeatureStrategy, char_values, correlation,
                    csq_bad_event_rate, group_spectrum, parse_shape)
+from mspec.alignment import GRAM_CAP
+from mspec.learning import NGD_X_CAP
+from mspec.spectral import SPECTRUM_CAP
 from mspec.cli import build_parser, run_command
 
 SUBCOMMANDS = [
@@ -210,6 +214,14 @@ def test_nonpositive_counts_rejected(argv, flag, capsys):
     (["decay-table", "--dims", "10,0"], "--dims"),
     (["align", "--shape", "2^3", "--group", "subgroup", "--generators", "1,a"],
      "--generators"),
+    (["bounds-check", "--shape", "3^5", "--char", "7", "--check", "ap",
+      "--gamma", "x", "--residues", "0"], "--gamma"),
+    (["bounds-check", "--shape", "3^5", "--char", "7", "--check", "ap",
+      "--gamma", "0", "--residues", "0,y"], "--residues"),
+    (["digital-pnt", "--p", "3", "--d", "4", "--L", "0100", "--b", "x"], "--b"),
+    (["ngd", "--shape", "2^4", "--seed", "-1"], "--seed"),
+    (["csq", "--shape", "2^4", "--seed", "-1"], "--seed"),
+    (["sieve", "--limit", "10", "--mem-cap", "0"], "--mem-cap"),
 ])
 def test_malformed_lists_and_shapes_fail_in_the_parser(argv, flag, capsys):
     assert run_command(argv) == 2
@@ -258,3 +270,41 @@ def test_module_entry_point_runs_the_cli():
                          "--limit", "10"], env=env, capture_output=True, text=True)
     assert ok.returncode == 0
     assert json.loads(ok.stdout)["command"] == "sieve"
+
+
+@pytest.mark.parametrize("argv,cap", [
+    (["spectrum", "--shape", "2^27"], SPECTRUM_CAP),
+    (["align", "--shape", "2^27"], SPECTRUM_CAP),
+    (["csq", "--shape", "2^27"], SPECTRUM_CAP),
+    (["katai", "--shape", "2^27"], SPECTRUM_CAP),
+    (["decay-table", "--dims", "10,27"], SPECTRUM_CAP),
+    (["ngd", "--shape", "2^21"], NGD_X_CAP),
+    (["gram-oracle", "--shape", "2^13"], GRAM_CAP),
+], ids=["spectrum", "align", "csq", "katai", "decay-table", "ngd", "gram-oracle"])
+def test_caps_refuse_before_the_sieve(argv, cap, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("sieved a table that the command must refuse")
+
+    monkeypatch.setattr(mspec.cli, "sieve", refuse)
+    assert run_command(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"cap {cap}" in captured.err and "Traceback" not in captured.err
+
+
+def test_katai_computes_the_correlation_once(capsys, monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return correlation(*args)
+
+    monkeypatch.setattr(mspec.cli, "correlation", counting)
+    monkeypatch.setattr(mspec.spectral, "correlation", counting)
+    code, rec = run_json(["katai", "--shape", "3^5", "--function", "mobius",
+                          "--char", "7"], capsys)
+    assert code == 0 and len(calls) == 1
+    res = rec["result"]
+    assert res["observed"] == abs(correlation(*calls[0]))
+    assert res["delta"] == res["observed"] / 2
+    assert res["evaluations"] == res["candidates"] * 3**5
