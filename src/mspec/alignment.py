@@ -49,18 +49,15 @@ def alignment_full_group(spec: Spectrum) -> AlignmentResult:
 
 def _type_histograms(shape: GroupShape) -> np.ndarray:
     """(X, sum_i p_i) matrix: per-block digit-value counts of every
-    character index."""
-    idx = np.arange(shape.X, dtype=np.int64)
-    cols = []
-    for i, p in enumerate(shape.primes):
-        s = shape.block_slices[i]
-        counts = [np.zeros(shape.X, dtype=np.int16) for _ in range(p)]
-        for j in range(s.start, s.stop):
-            digit = shape.digit(j, idx)
-            for t in range(p):
-                counts[t] += digit == t
-        cols.extend(counts)
-    return np.stack(cols, axis=1)
+    character index, from each block's (p_i, b_i) count table read along
+    the block's axis of the flat layout."""
+    counts = []
+    for i, (p, e) in enumerate(zip(shape.primes, shape.exponents)):
+        # terms[t, k, v] = (v == t): digit k adds one to the count of its value
+        terms = np.broadcast_to(np.eye(p, dtype=np.int16)[:, None, :], (p, e, p))
+        counts.append(shape.block_at(i, shape.block_table(i, terms),
+                                     stride=shape.block_strides[i]))
+    return np.concatenate(counts).T
 
 
 def alignment_semidirect(spec: Spectrum, shape: GroupShape | None = None) -> AlignmentResult:
@@ -125,18 +122,12 @@ class SubgroupSpec:
         exactly when they agree on every generator, and every key is
         below the subgroup order, so it fits in int64."""
         shape = self.shape
-        idx = np.arange(shape.X, dtype=np.int64)
-        key = np.zeros(shape.X, dtype=np.int64)
-        mult = 1
-        for i, p in enumerate(shape.primes):
-            s = shape.block_slices[i]
-            rows = self._block_rows[i]
-            res = np.zeros((rows.shape[0], shape.X), dtype=np.int64)
-            for j in range(s.start, s.stop):
-                res += rows[:, j - s.start, None] * shape.digit(j, idx)
-            for row in res % p:
-                key += row * mult
-                mult *= p
+        key, mult = 0, 1
+        for i, (p, rows) in enumerate(zip(shape.primes, self._block_rows)):
+            residues = shape.block_table(i, rows[:, :, None] * np.arange(p)) % p
+            key = key + shape.block_at(i, mult * p ** np.arange(len(rows)) @ residues,
+                                       stride=shape.block_strides[i])
+            mult *= p ** len(rows)
         return key
 
 

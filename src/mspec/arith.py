@@ -38,9 +38,15 @@ def memory_cap() -> int:
     """Largest table, in table entries, that sieve builds; MSPC_MEM_CAP
     overrides it in the same unit."""
     env = os.environ.get("MSPC_MEM_CAP")
-    if env is not None:
-        return int(env)
-    return DEFAULT_MEM_CAP
+    if env is None:
+        return DEFAULT_MEM_CAP
+    try:
+        cap = int(env)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise ArgumentError(f"MSPC_MEM_CAP must be a positive integer, got {env!r}")
+    return cap
 
 
 def primes_up_to(n: int) -> np.ndarray:

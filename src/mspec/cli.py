@@ -413,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("csq", help="adversarial query game over translates")
     _add_common(p)
     p.add_argument("--tau", type=float, default=0.01)
-    p.add_argument("--q", type=int, default=10)
+    p.add_argument("--q", type=_positive_int, default=10)
     p.add_argument("--samples", type=_positive_int, default=100)
     p.set_defaults(handler=_cmd_csq)
 
@@ -442,7 +442,7 @@ def run_command(argv) -> int:
     except ResourceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ArgumentError, MspecError, ValueError) as exc:
+    except MspecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:

@@ -5,10 +5,11 @@ vectors through the Chinese remainder theorem.  Characters are indexed
 by exponent vectors laid out little-endian mixed radix: blocks in input
 order, digit j=0 least significant within a block.
 
-One rule gives every digit: digit j of a flat layout index is
-idx // digit_strides[j] % digit_primes[j] (GroupShape.digit).  The digits
-of integers are the layout digits of flat_index_of(xs), the only
-vectorized CRT step; encode is its scalar counterpart.
+The group is a product of CRT blocks Z/p_i^d_i, so every digit function
+(exponents, syndromes, digit counts, translations, the layout index)
+factors over blocks: block_table builds one on a block's b_i = p_i^d_i
+local values and block_at reads it at x mod b_i, or along the block's axis
+of the flat layout.  GroupShape.digit and encode are the scalar codec.
 """
 
 from __future__ import annotations
@@ -83,6 +84,8 @@ class GroupShape:
         self.block_slices = tuple(
             slice(int(stops[i] - exponents[i]), int(stops[i])) for i in range(self.r)
         )
+        # B_i: flat-layout stride of each block's first digit
+        self.block_strides = tuple(math.prod(self.block_sizes[:i]) for i in range(self.r))
 
     def __repr__(self):
         return "GroupShape(%s)" % "*".join(
@@ -143,20 +146,36 @@ class GroupShape:
         return self.char_digits_matrix(self.flat_index_of(xs))
 
     def flat_index_of(self, xs) -> np.ndarray:
-        """Character-layout flat index of the digit vectors of xs.
+        """Character-layout flat index of the digit vectors of xs: block i's
+        digits are those of x mod b_i, at little-endian stride B_i, so the
+        index is sum_i (x mod b_i) * B_i."""
+        return sum(self.block_at(i, np.arange(b, dtype=np.int64) * B, xs)
+                   for i, (b, B) in enumerate(zip(self.block_sizes, self.block_strides)))
 
-        Block i's digits are those of x mod b_i and sit at consecutive
-        little-endian positions, so the index is sum_i (x mod b_i) * B_i
-        with B_i the stride of the block's first digit.
-        """
-        xs = np.arange(self.X, dtype=np.int64) if xs is None else np.asarray(xs, dtype=np.int64)
-        out = np.zeros(xs.shape[0], dtype=np.int64)
-        rem = np.empty_like(out)
-        for b, s in zip(self.block_sizes, self.block_slices):
-            np.remainder(xs, b, out=rem)
-            rem *= self.digit_strides[s.start]
-            out += rem
-        return out
+    def block_table(self, i: int, terms) -> np.ndarray:
+        """(..., b_i) table of a digit function on block i's local values y:
+        entry y is sum_k terms[..., k, digit k of y] for (..., d_i, p_i) terms,
+        one broadcast add per digit, built in full even for a read at few xs."""
+        table = terms[..., 0, :]
+        for k in range(1, self.exponents[i]):
+            # sizes spelled out: a leading axis of length 0 admits no -1
+            table = (terms[..., k, :, None] + table[..., None, :]).reshape(
+                terms.shape[:-2] + (self.primes[i] ** (k + 1),))
+        return table
+
+    def block_at(self, i: int, table, xs=None, stride: int = 1) -> np.ndarray:
+        """New (..., n) array: a (..., b_i) block table read at positions xs,
+        where x has block-i value x // stride mod b_i (stride 1: integers;
+        B_i: flat layout indices).  For all of [0, X) it is a broadcast along
+        the middle axis of reshape(X / (b_i stride), b_i, stride), with no
+        division and no index array; a read at given xs still needs the
+        whole b_i table."""
+        b = self.block_sizes[i]
+        if xs is not None:
+            return table[..., np.asarray(xs, dtype=np.int64) // stride % b]
+        out = np.empty(table.shape[:-1] + (self.X // (b * stride), b, stride), table.dtype)
+        out[...] = table[..., None, :, None]
+        return out.reshape(table.shape[:-1] + (self.X,))
 
     def char_digits_matrix(self, indices=None) -> np.ndarray:
         """(n, d) digit matrix of flat character indices (mixed radix).
@@ -183,13 +202,12 @@ class GroupShape:
         return self.decode(summed)
 
     def translation(self, g: int, xs=None) -> np.ndarray:
-        """Vector of g + x (digitwise) over xs, as integers."""
-        idx = self.flat_index_of(xs)
-        weights = self._decode_weights()
-        out = np.zeros(idx.shape[0], dtype=np.int64)
-        for j, t in enumerate(flatten_digits(self.encode(g))):
-            out += (self.digit(j, idx) + t) % self.digit_primes[j] * weights[j]
-        return out % self.X
+        """Vector of g + x (digitwise) over xs, as integers: per block, the
+        CRT weights of y + g (digitwise) read at x mod b_i."""
+        gd, w = np.array(flatten_digits(self.encode(g))), self._decode_weights()
+        tables = (self.block_table(i, (np.arange(p) + gd[s, None]) % p * w[s, None])
+                  for i, (p, s) in enumerate(zip(self.primes, self.block_slices)))
+        return sum(self.block_at(i, table, xs) for i, table in enumerate(tables)) % self.X
 
     def _decode_weights(self) -> np.ndarray:
         # weight of digit (i, j) in the CRT reconstruction, mod X
@@ -293,20 +311,18 @@ def char_eval(a: CharacterIndex, x: int, shape: GroupShape | None = None) -> com
 
 def char_values(a: CharacterIndex, shape: GroupShape | None = None,
                 xs=None) -> np.ndarray:
-    """chi_a over xs (all of [0, X) by default), via exact root tables."""
+    """chi_a over xs (all of [0, X) by default), via exact root tables: per
+    nontrivial block, the root at sum_j a_j y_j mod p_i, read at x mod b_i."""
     shape = shape or a.shape
-    idx = shape.flat_index_of(xs)
     values = None
     for i, p in enumerate(shape.primes):
-        s = shape.block_slices[i]
-        nonzero = [(j, t) for j, t in enumerate(a.digits[s], s.start) if t]
-        if not nonzero:
-            continue
-        e = sum(t * shape.digit(j, idx) for j, t in nonzero)  # sum_j a_j x_j
-        block_vals = roots_of_unity(p)[e % p]
-        values = block_vals if values is None else values * block_vals
+        ai = np.array(a.block(i), dtype=np.int64)
+        if ai.any():
+            exps = shape.block_table(i, ai[:, None] * np.arange(p)) % p
+            block_vals = shape.block_at(i, roots_of_unity(p)[exps], xs)
+            values = block_vals if values is None else values * block_vals
     if values is None:
-        return np.ones(idx.shape[0], dtype=np.complex128)
+        return np.ones(shape.X if xs is None else len(xs), dtype=np.complex128)
     return values
 
 

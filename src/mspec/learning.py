@@ -361,12 +361,12 @@ class FixedFeatureStrategy:
         self.shape = shape
         if flat_indices is None:
             flat_indices = range(1, q + 1)
-        feats = []
+        self.features = []
         for idx in flat_indices:
+            if len(self.features) >= q:
+                break
             chi = char_values(CharacterIndex.from_flat(idx % shape.X, shape), shape)
-            feats.append(np.real(chi))
-            feats.append(np.imag(chi))
-        self.features = feats[:q]
+            self.features += [np.real(chi), np.imag(chi)][:q - len(self.features)]
 
     def query(self, t: int, responses):
         if t < len(self.features):
@@ -418,8 +418,9 @@ def csq_bad_event_rate(orbit_target, shape: GroupShape, learner_factory,
                        tau: float, q: int, samples: int, seed: int = 0) -> dict:
     """Bad-event frequency of the game over uniform group translates of
     the base target, against the (q A / tau^2) ceiling."""
-    if samples < 1:
-        raise ArgumentError(f"samples must be >= 1, got {samples}")
+    for name, count in (("samples", samples), ("q", q)):
+        if count < 1:
+            raise ArgumentError(f"{name} must be >= 1, got {count}")
     base = np.asarray(orbit_target, dtype=np.float64)
     rng = np.random.default_rng(seed)
     gs = rng.integers(0, shape.X, size=samples)

@@ -118,11 +118,9 @@ def count_primes_digit_condition(L: LinearDigitMap, b, shape: GroupShape) -> dic
     X = shape.X
     ss = singular_series(L, b)
     table = sieve("von_mangoldt", X)
-    idx = shape.flat_index_of(None)
-    image = np.zeros((L.m, X), dtype=np.int64)
-    for j in range(L.d):
-        image += L.rows[:, j, None] * shape.digit(j, idx)
-    in_fiber = (image % L.p == b[:, None]).all(axis=0)
+    # the one block's table of L(digits of x) is already indexed by x
+    image = shape.block_table(0, L.rows[:, :, None] * np.arange(L.p)) % L.p
+    in_fiber = (image == b[:, None]).all(axis=0)
 
     prime_mask = (table.pp_prime == np.arange(X, dtype=np.int64)) & (
         np.arange(X) >= 2

@@ -330,8 +330,8 @@ def interval_l1_sum(a: CharacterIndex, shape: GroupShape, lo: int, hi: int):
     mags_by_k = _block_magnitudes_by_k(a, shape)
     ks = np.arange(lo, hi, dtype=np.int64)
     prod = np.ones(hi - lo, dtype=np.float64)
-    for i, b in enumerate(shape.block_sizes):
-        prod *= mags_by_k[i][ks % b]
+    for i, mags in enumerate(mags_by_k):
+        prod *= shape.block_at(i, mags, ks)
     value = float(prod.sum())
     reference = math.sqrt(shape.primes[-1] * (hi - lo))
     return {"sum": value, "reference": reference, "ratio": value / reference}
@@ -371,10 +371,9 @@ def truncated_character(a: CharacterIndex, shape: GroupShape, cutoffs):
                 "max_abs_frequency": int(np.abs(signed[kept]).max()) if kept.any() else 0,
             }
         )
-    xs = np.arange(shape.X, dtype=np.int64)
     values = np.ones(shape.X, dtype=np.complex128)
-    for i, b in enumerate(shape.block_sizes):
-        values *= block_values[i][xs % b]
+    for i, table in enumerate(block_values):
+        values *= shape.block_at(i, table)
     diff = values - char_values(a, shape)
     l2_error = float(np.mean(np.abs(diff) ** 2))
     return values, support, l2_error

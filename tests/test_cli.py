@@ -199,6 +199,7 @@ def test_csq_rate_matches_per_sample_strategies(capsys):
     (["ngd", "--shape", "2^4", "--arch", "0"], "--arch"),
     (["ngd", "--shape", "2^4", "--arch", "-2"], "--arch"),
     (["ngd", "--shape", "2^4", "--arch", "4,0"], "--arch"),
+    (["csq", "--shape", "2^3", "--q", "-2", "--samples", "2"], "--q"),
 ])
 def test_nonpositive_counts_rejected(argv, flag, capsys):
     assert run_command(argv) == 2
@@ -256,6 +257,24 @@ def test_nonpositive_counts_rejected_by_library():
     for hidden in ([0], [4, -2]):
         with pytest.raises(ArgumentError, match="widths"):
             MlpModel(shape, hidden)
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-5", "1.5"])
+def test_bad_mem_cap_env_exits_2(value, capsys, monkeypatch):
+    monkeypatch.setenv("MSPC_MEM_CAP", value)
+    assert run_command(["sieve", "--limit", "10"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "MSPC_MEM_CAP" in captured.err and "Traceback" not in captured.err
+
+
+def test_program_errors_are_not_exit_codes(monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("a program bug")
+
+    monkeypatch.setattr(mspec.cli, "sieve", broken)
+    with pytest.raises(ValueError, match="a program bug"):
+        run_command(["sieve", "--limit", "10"])
 
 
 def test_module_entry_point_runs_the_cli():

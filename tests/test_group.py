@@ -389,3 +389,47 @@ def test_no_digit_matrix_on_consumer_paths(monkeypatch):
     alignment_subgroup(spec, s, SubgroupSpec([7, 30, 45], s))
     count_primes_digit_condition(make_linear_map(3, [[1, 0, 2, 1]]), [1],
                                  GroupShape([3], [4]))
+
+
+# -- the block-table rule against per-digit sums ------------------------------
+#
+# A digit function is a table over each block's b_i local values, read at
+# x mod b_i (integers) or at the block's digits of a flat layout index.  The
+# references below sum terms[..., k, digit k] digit by digit, with digits
+# from _crt_digits (integers) or from repeated division (flat indices).
+
+
+def _per_digit_sum(terms, digits):
+    """sum_k terms[..., k, digits[:, k]] for an (n, d_i) digit matrix."""
+    out = np.zeros(terms.shape[:-2] + (digits.shape[0],), dtype=terms.dtype)
+    for k in range(digits.shape[1]):
+        out += terms[..., k, digits[:, k]]
+    return out
+
+
+@pytest.mark.parametrize("lead", [(), (0,), (1,), (3,)], ids=str)
+@pytest.mark.parametrize("s", REFERENCE_SHAPES, ids=repr)
+def test_block_tables_match_per_digit_sums(s, lead):
+    rng = np.random.default_rng(len(lead))
+    xs = _sample(s)
+    integer_digits = _crt_digits(s)
+    flat = np.arange(s.X, dtype=np.int64)
+    layout_digits = flat[:, None] // s.digit_strides % s.digit_primes
+    for i, (p, e, b) in enumerate(zip(s.primes, s.exponents, s.block_sizes)):
+        cols = s.block_slices[i]
+        terms = rng.integers(-50, 50, size=lead + (e, p))
+        local = np.arange(b)[:, None] // p ** np.arange(e) % p
+        table = s.block_table(i, terms)
+        assert table.shape == lead + (b,)
+        assert np.array_equal(table, _per_digit_sum(terms, local))
+        by_integer = _per_digit_sum(terms, integer_digits[:, cols])
+        by_layout = _per_digit_sum(terms, layout_digits[:, cols])
+        read = s.block_at(i, table)
+        assert read.shape == lead + (s.X,) and read.flags.writeable
+        assert not np.shares_memory(read, table)
+        assert np.array_equal(read, by_integer)
+        assert np.array_equal(s.block_at(i, table, xs), by_integer[..., xs])
+        B = s.block_strides[i]
+        assert B == s.digit_strides[cols.start]
+        assert np.array_equal(s.block_at(i, table, stride=B), by_layout)
+        assert np.array_equal(s.block_at(i, table, xs, stride=B), by_layout[..., xs])

@@ -186,6 +186,37 @@ def test_csq_protocol_errors():
         csq_adversarial_game(BadQuery(), np.zeros(s.X), np.zeros(s.X), 0.0, 1)
 
 
+def test_fixed_features_stop_at_q(monkeypatch):
+    import mspec.learning
+
+    calls = []
+
+    def counting(a, shape):
+        calls.append(a.flat)
+        return char_values(a, shape)
+
+    monkeypatch.setattr(mspec.learning, "char_values", counting)
+    s = GroupShape([3], [4])
+    for q in (1, 4, 5):
+        calls.clear()
+        feats = FixedFeatureStrategy(s, q).features
+        # one character per pair of features, and no more
+        assert calls == list(range(1, (q + 1) // 2 + 1))
+        want = [part for flat in calls
+                for part in (char_values(CharacterIndex.from_flat(flat, s), s).real,
+                             char_values(CharacterIndex.from_flat(flat, s), s).imag)]
+        assert len(feats) == q
+        assert all(np.array_equal(f, w) for f, w in zip(feats, want))
+
+
+def test_csq_q_below_one_rejected():
+    s = GroupShape([2], [4])
+    for q in (0, -2):
+        with pytest.raises(ArgumentError, match="q must be >= 1"):
+            csq_bad_event_rate(np.ones(s.X), s, lambda: FixedFeatureStrategy(s, q),
+                               tau=0.1, q=q, samples=2)
+
+
 def test_csq_rate_zero_target():
     s = GroupShape([2], [6])
     out = csq_bad_event_rate(np.zeros(s.X), s,
