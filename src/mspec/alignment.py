@@ -122,13 +122,12 @@ class SubgroupSpec:
         exactly when they agree on every generator, and every key is
         below the subgroup order, so it fits in int64."""
         shape = self.shape
-        key, mult = 0, 1
+        tables, mult = [], 1
         for i, (p, rows) in enumerate(zip(shape.primes, self._block_rows)):
             residues = shape.block_table(i, rows[:, :, None] * np.arange(p)) % p
-            key = key + shape.block_at(i, mult * p ** np.arange(len(rows)) @ residues,
-                                       stride=shape.block_strides[i])
+            tables.append(mult * p ** np.arange(len(rows)) @ residues)
             mult *= p ** len(rows)
-        return key
+        return shape.block_sum(tables, strides=shape.block_strides)
 
 
 def alignment_subgroup(spec: Spectrum, shape: GroupShape,

@@ -9,7 +9,8 @@ The group is a product of CRT blocks Z/p_i^d_i, so every digit function
 (exponents, syndromes, digit counts, translations, the layout index)
 factors over blocks: block_table builds one on a block's b_i = p_i^d_i
 local values and block_at reads it at x mod b_i, or along the block's axis
-of the flat layout.  GroupShape.digit and encode are the scalar codec.
+of the flat layout; block_sum adds the reads of every block into one
+array.  GroupShape.digit and encode are the scalar codec.
 """
 
 from __future__ import annotations
@@ -149,8 +150,8 @@ class GroupShape:
         """Character-layout flat index of the digit vectors of xs: block i's
         digits are those of x mod b_i, at little-endian stride B_i, so the
         index is sum_i (x mod b_i) * B_i."""
-        return sum(self.block_at(i, np.arange(b, dtype=np.int64) * B, xs)
-                   for i, (b, B) in enumerate(zip(self.block_sizes, self.block_strides)))
+        return self.block_sum([np.arange(b, dtype=np.int64) * B for b, B
+                               in zip(self.block_sizes, self.block_strides)], xs)
 
     def block_table(self, i: int, terms) -> np.ndarray:
         """(..., b_i) table of a digit function on block i's local values y:
@@ -176,6 +177,26 @@ class GroupShape:
         out = np.empty(table.shape[:-1] + (self.X // (b * stride), b, stride), table.dtype)
         out[...] = table[..., None, :, None]
         return out.reshape(table.shape[:-1] + (self.X,))
+
+    def block_sum(self, tables, xs=None, strides=None) -> np.ndarray:
+        """New (n,) array: sum over blocks i of block_at(i, tables[i], xs,
+        strides[i]) (strides default 1).  For all of [0, X) each table is
+        added in place, along the middle axis of the buffer's
+        reshape(X / (b_i stride_i), b_i, stride_i) view, so no block read
+        is allocated on its own."""
+        strides = strides or (1,) * self.r
+        if xs is not None:
+            return sum(self.block_at(i, t, xs, s)
+                       for i, (t, s) in enumerate(zip(tables, strides)))
+        out = np.empty(self.X, np.result_type(*tables))
+        for i, (table, stride) in enumerate(zip(tables, strides)):
+            view = out.reshape(self.X // (self.block_sizes[i] * stride),
+                               self.block_sizes[i], stride)
+            if i == 0:
+                view[...] = table[:, None]
+            else:
+                view += table[:, None]
+        return out
 
     def char_digits_matrix(self, indices=None) -> np.ndarray:
         """(n, d) digit matrix of flat character indices (mixed radix).
@@ -207,7 +228,9 @@ class GroupShape:
         gd, w = np.array(flatten_digits(self.encode(g))), self._decode_weights()
         tables = (self.block_table(i, (np.arange(p) + gd[s, None]) % p * w[s, None])
                   for i, (p, s) in enumerate(zip(self.primes, self.block_slices)))
-        return sum(self.block_at(i, table, xs) for i, table in enumerate(tables)) % self.X
+        out = self.block_sum(list(tables), xs)
+        out %= self.X
+        return out
 
     def _decode_weights(self) -> np.ndarray:
         # weight of digit (i, j) in the CRT reconstruction, mod X

@@ -42,25 +42,71 @@ def embed_inputs(shape: GroupShape, xs=None) -> np.ndarray:
 
 
 class _Workspace:
-    """Feature-major buffers for passes of one model over one input batch
-    (n, 2d), allocated once and reused by every pass.  Activations and
-    deltas are (width, n), so broadcasts and reductions run along the
-    long example axis.  a_0 is a C-contiguous copy of inputs.T (the layer-0
-    gemms run faster on it than on the transposed view) and ||a_0||^2 is
-    computed once."""
+    """Feature-major buffers for passes of one model over one batch,
+    allocated once and reused by every pass: activations and deltas of the
+    hidden layers are (width, n).
 
-    def __init__(self, model: "MlpModel", inputs: np.ndarray):
-        n = inputs.shape[0]
+    Inputs come as two factors (low, high), each (columns, E) with E the
+    values of those input columns at the factor's n_k points; example
+    i_low + n_low * i_high has E_low[:, i_low] and E_high[:, i_high].  So
+    layer 0 is the sum of two small products over the (n_high, n_low) grid,
+    and ||a_0||^2, the sum of the factors' column norms, is computed once.
+    An arbitrary batch is one factor (_batch_factors); the whole group in
+    flat layout order is two (_group_factors)."""
+
+    def __init__(self, model: "MlpModel", factors):
+        self.factors = factors
+        (_, low), (_, high) = factors
+        self.grid = (high.shape[1], low.shape[1])
+        n = high.shape[1] * low.shape[1]
         hidden = model.sizes[1:-1]
-        a0 = np.ascontiguousarray(inputs.T)
-        self.acts = [a0] + [np.empty((h, n)) for h in hidden]
+        self.rank2_high = np.ones((model.sizes[1], high.shape[1], 2))
+        self.rank2_low = np.ones((model.sizes[1], 2, low.shape[1]))
+        self.acts = [np.empty((h, n)) for h in hidden]
         self.deltas = [np.empty((h, n)) for h in hidden]
         self.scratch = np.empty((max(hidden, default=0), n))
-        self.input_sq = np.einsum("hn,hn->n", a0, a0)
+        self.input_sq = np.add.outer(np.einsum("cn,cn->n", high, high),
+                                     np.einsum("cn,cn->n", low, low)).ravel()
         self.out = np.empty(n)
         self.norms = np.empty(n)
         self.term = np.empty(n)
         self.delta_sq = np.empty(n)
+
+
+def _batch_factors(inputs: np.ndarray):
+    """An (n, 2d) input batch as workspace factors: every column in the low
+    factor, and a high factor with no columns at a single point."""
+    return (slice(None), inputs.T), (slice(0, 0), np.empty((0, 1)))
+
+
+def _low_digits(shape: GroupShape):
+    """(s, X_low): the whole group's low factor takes the fewest low digits
+    s whose values X_low = p_0 ... p_{s-1} number at least sqrt(X), so
+    neither factor's product nears the size of a full layer-0 gemm, and
+    the high factor is never the longer one."""
+    X_low, s = 1, 0
+    while X_low * X_low < shape.X:
+        X_low *= int(shape.digit_primes[s])
+        s += 1
+    return s, X_low
+
+
+def _group_factors(shape: GroupShape, inputs: np.ndarray):
+    """Workspace factors of the whole group in flat layout order, read from
+    inputs = embed_inputs(shape), and that order as the integer at each
+    layout index (None for one block, where the orders agree).  Layout
+    index k_low + X_low * k_high holds the low s digits in k_low, so the
+    embedding's first 2s columns depend on k_low alone, the rest on k_high."""
+    s, X_low = _low_digits(shape)
+    order = None
+    rows_low, rows_high = slice(0, X_low), slice(0, shape.X, X_low)
+    if shape.r > 1:
+        order = np.empty(shape.X, dtype=np.int64)
+        order[shape.flat_index_of(None)] = np.arange(shape.X)
+        rows_low, rows_high = order[rows_low], order[rows_high]
+    low = np.ascontiguousarray(inputs[rows_low, : 2 * s].T)
+    high = np.ascontiguousarray(inputs[rows_high, 2 * s :].T)
+    return ((slice(0, 2 * s), low), (slice(2 * s, 2 * shape.d), high)), order
 
 
 class MlpModel:
@@ -88,23 +134,55 @@ class MlpModel:
     def n_layers(self) -> int:
         return len(self.weights)
 
-    def _forward(self, acts, out):
-        """Fills the hidden activations acts[1:] from acts[0] and the
-        outputs out (n,) in place; returns out."""
-        for l in range(self.n_layers - 1):
-            a = np.matmul(self.weights[l], acts[l], out=acts[l + 1])
-            a += self.biases[l][:, None]
-            np.tanh(a, out=a)
-        np.matmul(self.weights[-1][0], acts[-1], out=out)
-        out += self.biases[-1][0]
-        return out
+    def _forward(self, ws: "_Workspace"):
+        """Fills the hidden activations ws.acts and the outputs ws.out (n,)
+        in place; returns ws.out."""
+        last = self.n_layers - 1
+        for l in range(self.n_layers):
+            out = ws.out[None, :] if l == last else ws.acts[l]
+            if l == 0:
+                self._first_layer(ws, out)
+            else:
+                np.matmul(self.weights[l], ws.acts[l - 1], out=out)
+                out += self.biases[l][:, None]
+            if l < last:
+                np.tanh(out, out=out)
+        return ws.out
+
+    def _first_layer(self, ws: "_Workspace", out: np.ndarray) -> None:
+        """Layer 0's pre-activation (width, n) into out: the high factor's
+        product broadcast-added to the low factor's product plus the bias,
+        written as the stacked rank-2 product [part_high, 1] @ [1; part_low]
+        into the (width, n_high, n_low) view of out.  It is exact, as every
+        term has a factor 1, and faster than np.add's broadcast."""
+        (cols_low, low), (cols_high, high) = ws.factors
+        w, b = self.weights[0], self.biases[0]
+        part_low = np.matmul(w[:, cols_low], low, out=ws.rank2_low[:, 1, :])
+        part_low += b[:, None]
+        ws.rank2_high[:, :, 0] = w[:, cols_high] @ high
+        np.matmul(ws.rank2_high, ws.rank2_low, out=out.reshape((out.shape[0],) + ws.grid))
+
+    def _first_layer_gradient(self, ws: "_Workspace", wd: np.ndarray):
+        """(wd @ a_0^T, wd summed over examples) for wd (width, n): on the
+        (width, n_high, n_low) grid the low columns see wd summed over the
+        high axis and the high columns see it summed over the low axis; the
+        bias sum is the sum of the shorter, high-axis sums."""
+        (cols_low, low), (cols_high, high) = ws.factors
+        n_high, n_low = ws.grid
+        grid = wd.reshape(-1, n_high, n_low)
+        # sums as products with ones, which BLAS runs faster than np.sum
+        sum_low = np.matmul(np.ones(n_high), grid)
+        sum_high = (grid.reshape(-1, n_low) @ np.ones(n_low)).reshape(-1, n_high)
+        g = np.empty_like(self.weights[0])
+        g[:, cols_low] = sum_low @ low.T
+        g[:, cols_high] = sum_high @ high.T
+        return g, sum_high.sum(axis=1)
 
     def forward(self, inputs: np.ndarray):
         """Returns (outputs (n,), activations).  Activations are feature-
         major: a_0 = inputs.T, then one (width, n) array per hidden layer."""
-        n = inputs.shape[0]
-        acts = [inputs.T] + [np.empty((h, n)) for h in self.sizes[1:-1]]
-        return self._forward(acts, np.empty(n)), acts
+        ws = _Workspace(self, _batch_factors(inputs))
+        return self._forward(ws), [inputs.T] + ws.acts
 
     def __call__(self, inputs: np.ndarray) -> np.ndarray:
         return self.forward(inputs)[0]
@@ -114,7 +192,7 @@ class MlpModel:
         order, into ws.deltas.  The output delta is the constant 1, so the
         last hidden layer's back-product is the head's weight row."""
         for l in range(self.n_layers - 2, -1, -1):
-            a, d = ws.acts[l + 1], ws.deltas[l]
+            a, d = ws.acts[l], ws.deltas[l]
             head = l == self.n_layers - 2
             slope = d if head else ws.scratch[: d.shape[0]]
             np.square(a, out=slope)
@@ -136,7 +214,7 @@ class MlpModel:
             if l == 0:
                 np.add(ws.input_sq, 1.0, out=term)  # +1 for the bias column
             else:
-                np.einsum("hn,hn->n", ws.acts[l], ws.acts[l], out=term)
+                np.einsum("hn,hn->n", ws.acts[l - 1], ws.acts[l - 1], out=term)
                 term += 1.0
             if l < self.n_layers - 1:
                 term *= np.einsum("hn,hn->n", ws.deltas[l], ws.deltas[l],
@@ -145,26 +223,33 @@ class MlpModel:
         return np.sqrt(total, out=total)
 
     def weighted_gradient(self, ws: "_Workspace", w: np.ndarray):
-        """mean_x w(x) * grad_theta f(x), assembled with gemms."""
+        """mean_x w(x) * grad_theta f(x): gemms above layer 0, factor sums
+        at layer 0."""
         n = w.shape[0]
         g_w, g_b = [], []
-        for l in range(self.n_layers - 1):
-            wd = np.multiply(ws.deltas[l], w, out=ws.scratch[: ws.deltas[l].shape[0]])
-            g_w.append((ws.acts[l] @ wd.T).T / n)
-            g_b.append(wd.sum(axis=1) / n)
-        g_w.append((ws.acts[-1] @ w / n)[None, :])
-        g_b.append(np.array([w.sum() / n]))
+        for l in range(self.n_layers):
+            if l < self.n_layers - 1:
+                wd = np.multiply(ws.deltas[l], w, out=ws.scratch[: ws.deltas[l].shape[0]])
+            else:
+                wd = w[None, :]  # the output delta is 1
+            if l == 0:
+                gw, gb = self._first_layer_gradient(ws, wd)
+            else:
+                gw, gb = (ws.acts[l - 1] @ wd.T).T, wd.sum(axis=1)
+            g_w.append(gw / n)
+            g_b.append(gb / n)
         return g_w, g_b
 
     def gradient_at(self, inputs: np.ndarray):
         """Full analytic gradient of f at a single input, flattened."""
-        ws = _Workspace(self, inputs)
-        self._forward(ws.acts, ws.out)
+        ws = _Workspace(self, _batch_factors(inputs))
+        self._forward(ws)
         self._deltas(ws)
         pieces = []
         for l in range(self.n_layers):
             d = ws.deltas[l][:, 0] if l < self.n_layers - 1 else np.ones(1)
-            pieces.append((d[:, None] * ws.acts[l][:, 0][None, :]).ravel())
+            a = inputs[0] if l == 0 else ws.acts[l - 1][:, 0]
+            pieces.append((d[:, None] * a[None, :]).ravel())
             pieces.append(d)
         return np.concatenate(pieces)
 
@@ -262,21 +347,30 @@ def ngd_train(model: MlpModel, target, shape: GroupShape, cfg: NgdConfig, *,
     """Population-gradient descent with per-example clipping and Gaussian
     parameter noise N(0, tau^2 I) each step.  ``_inputs`` is the caller's
     ``embed_inputs(shape)``, passed in by ngd_experiment so that its
-    trials share one embedding."""
+    trials share one embedding.
+
+    Passes run over the whole group in flat layout order, as the input
+    factors of _group_factors, so the target is permuted into that order
+    once per call.  Losses and gradients are means over the group, which
+    do not depend on the order."""
     inputs = _full_embedding(shape) if _inputs is None else _inputs
     h = np.asarray(target, dtype=np.float64)
     if h.shape[0] != shape.X:
         raise ArgumentError(f"target length {h.shape[0]} != X = {shape.X}")
     baseline = cfg.baseline if cfg.baseline is not None else np.zeros(shape.X)
-    ws = _Workspace(model, inputs)
+    baseline_loss = float(np.mean((baseline - h) ** 2))
+    factors, order = _group_factors(shape, inputs)
+    if order is not None:
+        h = h[order]
+    ws = _Workspace(model, factors)
     rng = np.random.default_rng(cfg.seed)
     n_params = model.get_flat().size
     w = np.empty(shape.X)
     trace = []
     for _ in range(cfg.T):
-        out = model._forward(ws.acts, ws.out)
+        out = model._forward(ws)
         np.subtract(h, out, out=w)  # the residual, clipped in place below
-        trace.append(float(np.mean(w ** 2)))
+        trace.append(float(np.mean(np.square(w, out=ws.term))))  # term: free until the norms
         model._deltas(ws)
         clip = model.per_example_grad_norms(ws)
         np.maximum(clip, 1e-300, out=clip)
@@ -294,10 +388,9 @@ def ngd_train(model: MlpModel, target, shape: GroupShape, cfg: NgdConfig, *,
             size = model.biases[l].size
             model.biases[l] = model.biases[l] + cfg.eta * (g_b[l] - noise[pos : pos + size])
             pos += size
-    out = model._forward(ws.acts, ws.out)
+    out = model._forward(ws)
     final_loss = float(np.mean((out - h) ** 2))
     trace.append(final_loss)
-    baseline_loss = float(np.mean((baseline - h) ** 2))
     success = final_loss <= baseline_loss - cfg.eps
     return {"model": model, "loss_trace": trace, "success": success,
             "final_loss": final_loss, "baseline_loss": baseline_loss}
@@ -307,7 +400,8 @@ def ngd_experiment(target, shape: GroupShape, cfg: NgdConfig, trials: int,
                    arch) -> dict:
     """Repeated seeded trainings against the alignment-driven failure
     ceiling.  Trial t uses seed sequence [cfg.seed, t, 0] for the model
-    and [cfg.seed, t, 1] for the noise."""
+    and [cfg.seed, t, 1] for the noise; final_losses holds each trial's
+    final loss in trial order."""
     if trials < 1:
         raise ArgumentError(f"trials must be >= 1, got {trials}")
     if cfg.tau <= 0:
@@ -315,12 +409,13 @@ def ngd_experiment(target, shape: GroupShape, cfg: NgdConfig, trials: int,
     h = np.asarray(target, dtype=np.float64)
     baseline = cfg.baseline if cfg.baseline is not None else np.zeros(shape.X)
     inputs = _full_embedding(shape)
-    successes = 0
+    successes, final_losses = 0, []
     for t in range(trials):
         model = MlpModel(shape, arch, seed=[_seed_entropy(cfg.seed), t, 0])
         trial_cfg = replace(cfg, seed=[_seed_entropy(cfg.seed), t, 1])
         result = ngd_train(model, h, shape, trial_cfg, _inputs=inputs)
         successes += bool(result["success"])
+        final_losses.append(result["final_loss"])
     rate = successes / trials
     A = alignment_full_group(group_spectrum(h - baseline, shape)).value
     bounds = learning_bounds(A, {"eps": cfg.eps, "tau": cfg.tau,
@@ -331,6 +426,7 @@ def ngd_experiment(target, shape: GroupShape, cfg: NgdConfig, trials: int,
         "theory_raw": bounds["ngd_raw"],
         "alignment": A,
         "trials": trials,
+        "final_losses": final_losses,
         "vacuous": bounds["ngd_raw"] >= 1.0,
     }
 

@@ -194,6 +194,13 @@ def test_csq_rate_matches_per_sample_strategies(capsys):
     assert rec["result"]["empirical_rate"] == want["empirical_rate"]
 
 
+@pytest.mark.parametrize("text", ["7", "2*3"])
+def test_ngd_runs_on_one_digit_and_one_digit_per_block(text, capsys):
+    code, rec = run_json(["ngd", "--shape", text, "--trials", "3", "--T", "5"], capsys)
+    assert code == 0
+    assert len(rec["result"]["final_losses"]) == 3
+
+
 @pytest.mark.parametrize("argv,flag", [
     (["csq", "--shape", "2^4", "--samples", "0"], "--samples"),
     (["ngd", "--shape", "2^4", "--arch", "0"], "--arch"),

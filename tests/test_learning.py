@@ -17,12 +17,16 @@ from mspec import (
     gradient_check,
     ngd_experiment,
     ngd_train,
+    parse_shape,
     rotate_first_layer,
     sample_binary_multiplicative,
     sieve,
 )
 from mspec.errors import ArgumentError, ResourceError
 from mspec.learning import (
+    _Workspace,
+    _batch_factors,
+    _group_factors,
     append_experiment_log,
     covariance_matrix,
     eigenvector_indicator,
@@ -134,6 +138,46 @@ def test_ngd_experiment_embeds_once(monkeypatch):
         ngd_experiment(np.zeros(big.X), big, NgdConfig(T=1, tau=0.05), trials=1,
                        arch=[2])
     assert calls == [None]  # refused before any embedding is built
+
+
+def test_ngd_experiment_keeps_final_losses():
+    s = GroupShape([2, 3], [3, 1])
+    h = sieve("mobius", s.X).values.astype(float)
+    cfg = NgdConfig(T=10, tau=0.05, eps=0.01, seed=9)
+    out = ngd_experiment(h, s, cfg, trials=4, arch=[4])
+    want = [ngd_train(MlpModel(s, [4], seed=[9, t, 0]), h, s,
+                      replace(cfg, seed=[9, t, 1]))["final_loss"] for t in range(4)]
+    assert out["final_losses"] == want
+
+
+@pytest.mark.parametrize("arch", [[], [4], [8, 8, 4]],
+                         ids=lambda a: ",".join(map(str, a)) or "linear")
+@pytest.mark.parametrize("text", ["2^6", "3^4", "2^2*3^2*5", "2", "7", "2*3"])
+def test_group_factors_match_one_factor_batch(text, arch):
+    """The whole group's two-factor workspace against a one-factor batch of
+    the embedding's rows in flat layout order."""
+    s = parse_shape(text)
+    rng = np.random.default_rng(len(text) + len(arch))
+    model = MlpModel(s, arch, seed=1)
+    model.set_flat(rng.normal(size=model.get_flat().size))  # nonzero biases too
+    inputs = embed_inputs(s)
+    rows = np.empty(s.X, dtype=np.int64)
+    rows[s.flat_index_of(None)] = np.arange(s.X)
+    factors, order = _group_factors(s, inputs)
+    assert np.array_equal(rows, np.arange(s.X) if order is None else order)
+    whole = _Workspace(model, factors)
+    batch = _Workspace(model, _batch_factors(inputs[rows]))
+    w = rng.normal(size=s.X)
+    got = []
+    for ws in (whole, batch):
+        out = model._forward(ws).copy()
+        model._deltas(ws)
+        norms = model.per_example_grad_norms(ws).copy()
+        g_w, g_b = model.weighted_gradient(ws, w)
+        got.append([out, norms] + g_w + g_b)
+    for a, b in zip(*got):
+        assert a.shape == b.shape
+        assert np.max(np.abs(a - b)) <= 1e-13
 
 
 def test_csq_null_replay():
