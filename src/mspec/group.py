@@ -280,7 +280,7 @@ class CharacterIndex:
         index = int(index)
         if not 0 <= index < shape.X:
             raise ArgumentError(f"flat index {index} outside [0, {shape.X})")
-        return cls(tuple(int(shape.digit(j, index)) for j in range(shape.d)), shape)
+        return cls(tuple((index // shape.digit_strides % shape.digit_primes).tolist()), shape)
 
     @property
     def flat(self) -> int:

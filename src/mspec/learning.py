@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import threading
 import time
 from dataclasses import dataclass, field, replace
 
@@ -64,7 +66,7 @@ class _Workspace:
         self.rank2_low = np.ones((model.sizes[1], 2, low.shape[1]))
         self.acts = [np.empty((h, n)) for h in hidden]
         self.deltas = [np.empty((h, n)) for h in hidden]
-        self.scratch = np.empty((max(hidden, default=0), n))
+        self.scratch = np.empty((max(hidden[:-1], default=0), n))  # slopes below the head
         self.input_sq = np.add.outer(np.einsum("cn,cn->n", high, high),
                                      np.einsum("cn,cn->n", low, low)).ravel()
         self.out = np.empty(n)
@@ -91,21 +93,21 @@ def _low_digits(shape: GroupShape):
     return s, X_low
 
 
-def _group_factors(shape: GroupShape, inputs: np.ndarray):
-    """Workspace factors of the whole group in flat layout order, read from
-    inputs = embed_inputs(shape), and that order as the integer at each
-    layout index (None for one block, where the orders agree).  Layout
-    index k_low + X_low * k_high holds the low s digits in k_low, so the
-    embedding's first 2s columns depend on k_low alone, the rest on k_high."""
+def _group_factors(shape: GroupShape):
+    """Workspace factors of the whole group in flat layout order, and that
+    order as the integer at each layout index (None for one block, where
+    the orders agree).  Layout index k_low + X_low * k_high holds the low s
+    digits in k_low, so the embedding's first 2s columns depend on k_low
+    alone, the rest on k_high: only rows k_high = 0 and k_low = 0 are built."""
     s, X_low = _low_digits(shape)
     order = None
-    rows_low, rows_high = slice(0, X_low), slice(0, shape.X, X_low)
+    xs_low, xs_high = np.arange(X_low), np.arange(0, shape.X, X_low)
     if shape.r > 1:
         order = np.empty(shape.X, dtype=np.int64)
         order[shape.flat_index_of(None)] = np.arange(shape.X)
-        rows_low, rows_high = order[rows_low], order[rows_high]
-    low = np.ascontiguousarray(inputs[rows_low, : 2 * s].T)
-    high = np.ascontiguousarray(inputs[rows_high, 2 * s :].T)
+        xs_low, xs_high = order[xs_low], order[xs_high]
+    low = np.ascontiguousarray(embed_inputs(shape, xs_low)[:, : 2 * s].T)
+    high = np.ascontiguousarray(embed_inputs(shape, xs_high)[:, 2 * s :].T)
     return ((slice(0, 2 * s), low), (slice(2 * s, 2 * shape.d), high)), order
 
 
@@ -224,12 +226,12 @@ class MlpModel:
 
     def weighted_gradient(self, ws: "_Workspace", w: np.ndarray):
         """mean_x w(x) * grad_theta f(x): gemms above layer 0, factor sums
-        at layer 0."""
+        at layer 0.  Scales ws.deltas by w in place; _deltas rebuilds them."""
         n = w.shape[0]
         g_w, g_b = [], []
         for l in range(self.n_layers):
             if l < self.n_layers - 1:
-                wd = np.multiply(ws.deltas[l], w, out=ws.scratch[: ws.deltas[l].shape[0]])
+                wd = np.multiply(ws.deltas[l], w, out=ws.deltas[l])
             else:
                 wd = w[None, :]  # the output delta is 1
             if l == 0:
@@ -334,32 +336,27 @@ class NgdConfig:
             raise ArgumentError("need T >= 0, R > 0, tau >= 0, eps > 0")
 
 
-def _full_embedding(shape: GroupShape) -> np.ndarray:
-    """embed_inputs over the whole group, refused above NGD_X_CAP before
-    anything is allocated."""
+def _ngd_target(target, shape: GroupShape, cfg: NgdConfig):
+    """(target, baseline h_*) as arrays; refused above NGD_X_CAP or unless of length X."""
     if shape.X > NGD_X_CAP:
         raise ResourceError(f"X = {shape.X} exceeds the exact-gradient cap {NGD_X_CAP}")
-    return embed_inputs(shape)
+    h = np.asarray(target, dtype=np.float64)
+    if h.shape[0] != shape.X:
+        raise ArgumentError(f"target length {h.shape[0]} != X = {shape.X}")
+    return h, cfg.baseline if cfg.baseline is not None else np.zeros(shape.X)
 
 
-def ngd_train(model: MlpModel, target, shape: GroupShape, cfg: NgdConfig, *,
-              _inputs: np.ndarray | None = None) -> dict:
+def ngd_train(model: MlpModel, target, shape: GroupShape, cfg: NgdConfig) -> dict:
     """Population-gradient descent with per-example clipping and Gaussian
-    parameter noise N(0, tau^2 I) each step.  ``_inputs`` is the caller's
-    ``embed_inputs(shape)``, passed in by ngd_experiment so that its
-    trials share one embedding.
+    parameter noise N(0, tau^2 I) each step.
 
     Passes run over the whole group in flat layout order, as the input
     factors of _group_factors, so the target is permuted into that order
     once per call.  Losses and gradients are means over the group, which
     do not depend on the order."""
-    inputs = _full_embedding(shape) if _inputs is None else _inputs
-    h = np.asarray(target, dtype=np.float64)
-    if h.shape[0] != shape.X:
-        raise ArgumentError(f"target length {h.shape[0]} != X = {shape.X}")
-    baseline = cfg.baseline if cfg.baseline is not None else np.zeros(shape.X)
+    h, baseline = _ngd_target(target, shape, cfg)
     baseline_loss = float(np.mean((baseline - h) ** 2))
-    factors, order = _group_factors(shape, inputs)
+    factors, order = _group_factors(shape)
     if order is not None:
         h = h[order]
     ws = _Workspace(model, factors)
@@ -379,15 +376,8 @@ def ngd_train(model: MlpModel, target, shape: GroupShape, cfg: NgdConfig, *,
         w *= clip
         g_w, g_b = model.weighted_gradient(ws, w)
         noise = rng.normal(0.0, cfg.tau, size=n_params) if cfg.tau > 0 else np.zeros(n_params)
-        pos = 0
-        for l in range(model.n_layers):
-            size = model.weights[l].size
-            xi = noise[pos : pos + size].reshape(model.weights[l].shape)
-            model.weights[l] = model.weights[l] + cfg.eta * (g_w[l] - xi)
-            pos += size
-            size = model.biases[l].size
-            model.biases[l] = model.biases[l] + cfg.eta * (g_b[l] - noise[pos : pos + size])
-            pos += size
+        g = np.concatenate([part.ravel() for pair in zip(g_w, g_b) for part in pair])
+        model.set_flat(model.get_flat() + cfg.eta * (g - noise))
     out = model._forward(ws)
     final_loss = float(np.mean((out - h) ** 2))
     trace.append(final_loss)
@@ -396,27 +386,45 @@ def ngd_train(model: MlpModel, target, shape: GroupShape, cfg: NgdConfig, *,
             "final_loss": final_loss, "baseline_loss": baseline_loss}
 
 
+def _usable_cpus() -> int:
+    affinity = getattr(os, "sched_getaffinity", None)  # absent on macOS and Windows
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
 def ngd_experiment(target, shape: GroupShape, cfg: NgdConfig, trials: int,
                    arch) -> dict:
     """Repeated seeded trainings against the alignment-driven failure
     ceiling.  Trial t uses seed sequence [cfg.seed, t, 0] for the model
-    and [cfg.seed, t, 1] for the noise; final_losses holds each trial's
-    final loss in trial order."""
+    and [cfg.seed, t, 1] for the noise, and runs on worker t % threads (at
+    most two threads) with the result of a sequential run; final_losses is
+    in trial order.  The first failed trial's exception is re-raised here."""
     if trials < 1:
         raise ArgumentError(f"trials must be >= 1, got {trials}")
     if cfg.tau <= 0:
         raise ArgumentError("tau must be > 0 for the bound comparison")
-    h = np.asarray(target, dtype=np.float64)
-    baseline = cfg.baseline if cfg.baseline is not None else np.zeros(shape.X)
-    inputs = _full_embedding(shape)
-    successes, final_losses = 0, []
-    for t in range(trials):
-        model = MlpModel(shape, arch, seed=[_seed_entropy(cfg.seed), t, 0])
-        trial_cfg = replace(cfg, seed=[_seed_entropy(cfg.seed), t, 1])
-        result = ngd_train(model, h, shape, trial_cfg, _inputs=inputs)
-        successes += bool(result["success"])
-        final_losses.append(result["final_loss"])
-    rate = successes / trials
+    h, baseline = _ngd_target(target, shape, cfg)
+    entropy, threads = _seed_entropy(cfg.seed), min(2, _usable_cpus(), trials)
+    results = [None] * trials
+
+    def work(first):
+        try:
+            for t in range(first, trials, threads):
+                results[t] = ngd_train(MlpModel(shape, arch, seed=[entropy, t, 0]), h,
+                                       shape, replace(cfg, seed=[entropy, t, 1]))
+        except Exception as exc:  # re-raised in the calling thread
+            results[t] = exc
+
+    workers = [threading.Thread(target=work, args=(k,), daemon=True) for k in range(1, threads)]
+    for worker in workers:
+        worker.start()
+    work(0)
+    for worker in workers:
+        worker.join()
+    for result in results:
+        if isinstance(result, Exception):
+            raise result
+    final_losses = [result["final_loss"] for result in results]
+    rate = sum(bool(result["success"]) for result in results) / trials
     A = alignment_full_group(group_spectrum(h - baseline, shape)).value
     bounds = learning_bounds(A, {"eps": cfg.eps, "tau": cfg.tau,
                                  "R": cfg.R, "T": cfg.T})
@@ -427,6 +435,7 @@ def ngd_experiment(target, shape: GroupShape, cfg: NgdConfig, trials: int,
         "alignment": A,
         "trials": trials,
         "final_losses": final_losses,
+        "threads": threads,
         "vacuous": bounds["ngd_raw"] >= 1.0,
     }
 
@@ -591,19 +600,15 @@ def sample_binary_multiplicative(X: int, seed: int = 0) -> np.ndarray:
     rng = np.random.default_rng(seed)
     primes = primes_up_to(X)
     signs = rng.integers(0, 2, size=primes.size) * 2 - 1
-    sign_of = {int(p): int(s) for p, s in zip(primes, signs)}
-    # smallest-prime-factor table for multiplicative extension
-    spf = np.zeros(X + 1, dtype=np.int64)
-    for p in primes:
-        sel = np.arange(p, X + 1, p)
-        first = spf[sel] == 0
-        spf[sel[first]] = p
-    h = np.zeros(X + 1, dtype=np.float64)
-    if X >= 1:
-        h[1] = 1.0
-    for n in range(2, X + 1):
-        p = int(spf[n])
-        h[n] = sign_of[p] * h[n // p]
+    h = np.ones(X + 1)
+    h[0] = 0.0
+    # h(n) = prod of the signs over n's prime factors with multiplicity:
+    # one flip on the multiples of each power q of every prime drawn -1
+    for p in primes[signs < 0].tolist():
+        q = p
+        while q <= X:
+            h[q::q] *= -1
+            q *= p
     return h
 
 

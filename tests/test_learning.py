@@ -1,4 +1,5 @@
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -27,6 +28,7 @@ from mspec.learning import (
     _Workspace,
     _batch_factors,
     _group_factors,
+    _low_digits,
     append_experiment_log,
     covariance_matrix,
     eigenvector_indicator,
@@ -120,24 +122,86 @@ def test_ngd_caps_and_errors():
         ngd_train(MlpModel(big, [2]), np.zeros(big.X), big, NgdConfig(T=1))
 
 
-def test_ngd_experiment_embeds_once(monkeypatch):
+def test_ngd_embeds_only_factor_rows(monkeypatch):
+    """Each trial embeds the X_low + X_high rows of its two factors, never
+    the whole group, and a shape above the cap is refused before any
+    embedding is built."""
     import mspec.learning
 
     calls = []
 
     def counting(shape, xs=None):
-        calls.append(xs)
+        calls.append(shape.X if xs is None else len(xs))
         return embed_inputs(shape, xs)
 
     monkeypatch.setattr(mspec.learning, "embed_inputs", counting)
-    s = GroupShape([2], [5])
-    ngd_experiment(np.zeros(s.X), s, NgdConfig(T=2, tau=0.05), trials=4, arch=[4])
-    assert calls == [None]
+    trials = 4
+    for text in ("2^10", "2^2*3^2*5", "7"):
+        s = parse_shape(text)
+        _, X_low = _low_digits(s)
+        rows = X_low + s.X // X_low
+        ngd_experiment(np.zeros(s.X), s, NgdConfig(T=2, tau=0.05), trials=trials, arch=[4])
+        assert calls and max(calls) <= rows and sum(calls) <= trials * rows
+        calls.clear()
     big = GroupShape([2], [21])
     with pytest.raises(ResourceError):
         ngd_experiment(np.zeros(big.X), big, NgdConfig(T=1, tau=0.05), trials=1,
                        arch=[2])
-    assert calls == [None]  # refused before any embedding is built
+    with pytest.raises(ResourceError):
+        ngd_train(MlpModel(big, [2]), np.zeros(big.X), big, NgdConfig(T=1))
+    assert calls == []  # refused before any embedding is built
+
+
+def test_ngd_experiment_threads_match_sequential(monkeypatch):
+    import mspec.learning
+
+    s = GroupShape([2], [8])
+    h = sieve("mobius", s.X).values.astype(float)
+    cfg = NgdConfig(T=20, tau=0.05, eps=0.02, seed=5)
+    runs = []
+    interval = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-6)  # interleave the two workers as finely as it can
+        for cpus in (1, 2):
+            monkeypatch.setattr(mspec.learning, "_usable_cpus", lambda: cpus)
+            out = ngd_experiment(h, s, cfg, trials=5, arch=[8])
+            assert out["threads"] == cpus
+            runs.append((out["final_losses"], out["success_rate"]))
+    finally:
+        sys.setswitchinterval(interval)
+    want = [ngd_train(MlpModel(s, [8], seed=[5, t, 0]), h, s, replace(cfg, seed=[5, t, 1]))
+            for t in range(5)]
+    assert runs[0] == runs[1]
+    assert runs[0][0] == [r["final_loss"] for r in want]
+    assert runs[0][1] == sum(bool(r["success"]) for r in want) / 5
+
+
+def test_ngd_experiment_reraises_first_trial_error(monkeypatch):
+    """A trial's exception reaches the caller as raised, from a worker
+    thread too: trial 3 runs on the second worker, trial 4 on the first."""
+    import mspec.learning
+
+    train = mspec.learning.ngd_train
+    started = []
+
+    def failing(model, target, shape, cfg):
+        t = cfg.seed[1]
+        started.append(t)
+        if t >= 3:
+            raise ArgumentError(f"trial {t}")
+        return train(model, target, shape, cfg)
+
+    monkeypatch.setattr(mspec.learning, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(mspec.learning, "ngd_train", failing)
+    s = GroupShape([2], [5])
+    cfg = NgdConfig(T=2, tau=0.05)
+    with pytest.raises(ArgumentError, match="^trial 3$"):
+        ngd_experiment(np.zeros(s.X), s, cfg, trials=5, arch=[4])
+    assert sorted(started) == [0, 1, 2, 3, 4]
+    started.clear()
+    with pytest.raises(ArgumentError, match="target length"):
+        ngd_experiment(np.zeros(s.X - 1), s, cfg, trials=5, arch=[4])
+    assert started == []  # checked before any trial starts
 
 
 def test_ngd_experiment_keeps_final_losses():
@@ -163,7 +227,7 @@ def test_group_factors_match_one_factor_batch(text, arch):
     inputs = embed_inputs(s)
     rows = np.empty(s.X, dtype=np.int64)
     rows[s.flat_index_of(None)] = np.arange(s.X)
-    factors, order = _group_factors(s, inputs)
+    factors, order = _group_factors(s)
     assert np.array_equal(rows, np.arange(s.X) if order is None else order)
     whole = _Workspace(model, factors)
     batch = _Workspace(model, _batch_factors(inputs[rows]))
