@@ -1,14 +1,16 @@
 """Command-line front end.
 
-Every subcommand emits one JSON run record (stdout or --out) and can
-drop numeric CSV plot data via --plot-data.  Exit codes: 0 success,
-2 argument error, 3 resource error.
+Every subcommand emits one JSON run record (stdout or --out); sieve,
+spectrum, covariance and decay-table can also write numeric CSV plot data
+via --plot-data.  Exit codes: 0 success, 2 argument error or unwritable
+output path, 3 resource error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -85,7 +87,7 @@ def _table(args, shape: GroupShape, cap=None, group=()) -> np.ndarray:
     return _function_values(args.function, shape.X)
 
 
-def _add_common(p: argparse.ArgumentParser, shape=True, function=True):
+def _add_common(p: argparse.ArgumentParser, shape=True, function=True, plot=False):
     if shape:
         p.add_argument("--shape", required=True, type=_shape_literal,
                        help='group shape literal, e.g. "2^2*3^1"')
@@ -95,7 +97,8 @@ def _add_common(p: argparse.ArgumentParser, shape=True, function=True):
                        help="arithmetic function table")
     p.add_argument("--seed", type=_nonnegative_int, default=0, help="RNG seed (u64)")
     p.add_argument("--out", help="write the JSON run record here")
-    p.add_argument("--plot-data", dest="plot_data", help="CSV output path")
+    if plot:
+        p.add_argument("--plot-data", dest="plot_data", help="CSV output path")
     p.add_argument("--mem-cap", dest="mem_cap", type=_positive_int,
                    help="override the memory cap, in table entries")
 
@@ -116,6 +119,16 @@ def _positive_int(text: str) -> int:
 
 def _nonnegative_int(text: str) -> int:
     return _int(text, 0)
+
+
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
 
 
 def _positive_ints(text: str) -> list:
@@ -150,7 +163,7 @@ def _write_plot(path: str, header: list, rows: list) -> None:
                               for v in row) + "\n")
 
 
-# -- subcommand handlers: each returns (result_payload, plot) -------------
+# -- subcommand handlers: each returns its result and writes its plot ----
 
 
 def _cmd_sieve(args):
@@ -164,9 +177,10 @@ def _cmd_sieve(args):
         "sum": float(values.sum(dtype=np.float64)),
         "dump": args.dump,
     }
-    plot = (["n", "value"], [(n, float(values[n])) for n in range(args.limit)]) \
-        if args.plot_data else None
-    return result, plot
+    if args.plot_data:
+        _write_plot(args.plot_data, ["n", "value"],
+                    [(n, float(values[n])) for n in range(args.limit)])
+    return result
 
 
 def _cmd_spectrum(args):
@@ -190,7 +204,7 @@ def _cmd_spectrum(args):
     ]
     if args.plot_data:
         dump_spectrum_csv(spec, args.plot_data)
-    return {"shape": repr(shape), "X": shape.X, "top": top}, None
+    return {"shape": repr(shape), "X": shape.X, "top": top}
 
 
 def _cmd_correlate(args):
@@ -198,7 +212,7 @@ def _cmd_correlate(args):
     a = CharacterIndex.from_flat(args.char, shape)
     c = correlation(_table(args, shape), a, shape)
     return {"char": args.char, "digits": list(a.digits),
-            "coefficient": _cnum(c), "magnitude": float(abs(c))}, None
+            "coefficient": _cnum(c), "magnitude": float(abs(c))}
 
 
 def _cmd_align(args):
@@ -210,7 +224,7 @@ def _cmd_align(args):
         res = alignment_semidirect(spec, shape)
     else:
         res = alignment_subgroup(spec, shape, SubgroupSpec(args.generators, shape))
-    return res.record(shape, {"group": args.group}), None
+    return res.record(shape, {"group": args.group})
 
 
 def _cmd_gram_oracle(args):
@@ -219,7 +233,7 @@ def _cmd_gram_oracle(args):
     value = alignment_gram_oracle(values, shape, range(shape.X))
     spectral = alignment_full_group(group_spectrum(values, shape)).value
     return {"gram_value": value, "spectral_value": spectral,
-            "difference": abs(value - spectral)}, None
+            "difference": abs(value - spectral)}
 
 
 def _cmd_katai(args):
@@ -231,7 +245,7 @@ def _cmd_katai(args):
     w = katai_witness(values, CharacterIndex.from_flat(flat, shape), shape,
                       args.delta, args.budget)
     return {**vars(w), "char": flat, "terms": [list(t) for t in w.terms],
-            "theta": f"{w.theta.numerator}/{w.theta.denominator}"}, None
+            "theta": f"{w.theta.numerator}/{w.theta.denominator}"}
 
 
 def _cmd_bounds_check(args):
@@ -252,7 +266,7 @@ def _cmd_bounds_check(args):
         result = interval_l1_sum(a, shape, args.lo, args.hi)
     result["check"] = args.check
     result["char"] = args.char
-    return result, None
+    return result
 
 
 def _cmd_digital_pnt(args):
@@ -262,7 +276,7 @@ def _cmd_digital_pnt(args):
     out = count_primes_digit_condition(L, args.b, shape)
     ss = out.pop("singular_series")
     out["singular_series"] = ss.record()
-    return out, None
+    return out
 
 
 def _cmd_lambda_balance(args):
@@ -270,27 +284,26 @@ def _cmd_lambda_balance(args):
     a = CharacterIndex.from_flat(args.char, shape)
     out = lambda_balanced_correlation(a, shape)
     return {"char": args.char, "raw": _cnum(out["raw"]),
-            "normalized": _cnum(out["normalized"]), "X": out["X"]}, None
+            "normalized": _cnum(out["normalized"]), "X": out["X"]}
 
 
 def _cmd_covariance(args):
     out = binary_mult_covariance(args.X, args.mode)
-    plot = None
     if args.mode == "formula":
         eigen = out["eigen"]
         result = {"X": args.X, "op_norm": out["op_norm"],
                   "eigen_head": [[a, lam] for a, lam in eigen[:20]],
                   "count": len(eigen)}
-        if args.plot_data:
-            plot = (["a", "eigenvalue"], [(a, lam) for a, lam in eigen])
+        header = ["a", "eigenvalue"]
     else:
+        eigen = list(enumerate(float(v) for v in out["eigen"]))
         result = {"X": args.X, "op_norm": out["op_norm"],
                   "op_norm_formula": out["op_norm_formula"],
-                  "eigen_head": [float(v) for v in out["eigen"][:20]]}
-        if args.plot_data:
-            plot = (["rank", "eigenvalue"],
-                    list(enumerate(float(v) for v in out["eigen"])))
-    return result, plot
+                  "eigen_head": [v for _, v in eigen[:20]]}
+        header = ["rank", "eigenvalue"]
+    if args.plot_data:
+        _write_plot(args.plot_data, header, eigen)
+    return result
 
 
 def _cmd_ngd(args):
@@ -300,7 +313,7 @@ def _cmd_ngd(args):
     arch = args.arch or [16]
     out = ngd_experiment(_table(args, shape, NGD_X_CAP), shape, cfg, args.trials, arch)
     out["arch"] = arch
-    return out, None
+    return out
 
 
 def _cmd_csq(args):
@@ -308,7 +321,7 @@ def _cmd_csq(args):
     values = _table(args, shape, SPECTRUM_CAP)
     strategy = FixedFeatureStrategy(shape, args.q)  # stateless: one per run
     return csq_bad_event_rate(values, shape, lambda: strategy, args.tau, args.q,
-                              args.samples, seed=args.seed), None
+                              args.samples, seed=args.seed)
 
 
 def _cmd_decay_table(args):
@@ -321,8 +334,9 @@ def _cmd_decay_table(args):
     result = {"p": args.p, "table": [list(r) for r in rows],
               "strictly_decreasing": all(rows[i][2] > rows[i + 1][2]
                                          for i in range(len(rows) - 1))}
-    plot = (["d", "X", "max_coefficient"], rows) if args.plot_data else None
-    return result, plot
+    if args.plot_data:
+        _write_plot(args.plot_data, ["d", "X", "max_coefficient"], rows)
+    return result
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -333,13 +347,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("sieve", help="build an arithmetic function table")
-    _add_common(p, shape=False)
+    _add_common(p, shape=False, plot=True)
     p.add_argument("--limit", type=int, required=True)
     p.add_argument("--dump", help="binary table dump path")
     p.set_defaults(handler=_cmd_sieve)
 
     p = sub.add_parser("spectrum", help="full transform with top coefficients")
-    _add_common(p)
+    _add_common(p, plot=True)
     p.add_argument("--top", type=_positive_int, default=10)
     p.set_defaults(handler=_cmd_spectrum)
 
@@ -363,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("katai", help="additive-witness search")
     _add_common(p)
     p.add_argument("--char", type=int, help="flat index (default: spectral argmax)")
-    p.add_argument("--delta", type=float, help="threshold (default |fhat(a)|/2)")
+    p.add_argument("--delta", type=_finite_float, help="threshold (default |fhat(a)|/2)")
     p.add_argument("--budget", type=int, default=10**7)
     p.set_defaults(handler=_cmd_katai)
 
@@ -393,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_lambda_balance)
 
     p = sub.add_parser("covariance", help="covariance spectrum of the class")
-    _add_common(p, shape=False, function=False)
+    _add_common(p, shape=False, function=False, plot=True)
     p.add_argument("--X", type=int, required=True)
     p.add_argument("--mode", choices=["formula", "explicit"], default="formula")
     p.set_defaults(handler=_cmd_covariance)
@@ -402,23 +416,23 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--trials", type=int, default=10)
     p.add_argument("--T", type=int, default=100)
-    p.add_argument("--R", type=float, default=1.0)
-    p.add_argument("--tau", type=float, default=0.05)
-    p.add_argument("--eta", type=float, default=0.1)
-    p.add_argument("--eps", type=float, default=0.01)
+    p.add_argument("--R", type=_finite_float, default=1.0)
+    p.add_argument("--tau", type=_finite_float, default=0.05)
+    p.add_argument("--eta", type=_finite_float, default=0.1)
+    p.add_argument("--eps", type=_finite_float, default=0.01)
     p.add_argument("--arch", type=_positive_ints,
                    help="hidden widths, e.g. \"16\" or \"32,16\"")
     p.set_defaults(handler=_cmd_ngd)
 
     p = sub.add_parser("csq", help="adversarial query game over translates")
     _add_common(p)
-    p.add_argument("--tau", type=float, default=0.01)
+    p.add_argument("--tau", type=_finite_float, default=0.01)
     p.add_argument("--q", type=_positive_int, default=10)
     p.add_argument("--samples", type=_positive_int, default=100)
     p.set_defaults(handler=_cmd_csq)
 
     p = sub.add_parser("decay-table", help="max coefficient across sizes")
-    _add_common(p, shape=False)
+    _add_common(p, shape=False, plot=True)
     p.add_argument("--p", type=int, default=2)
     p.add_argument("--dims", type=_positive_ints, default="10,14,18",
                    help="comma-separated degrees")
@@ -438,40 +452,35 @@ def run_command(argv) -> int:
         os.environ["MSPC_MEM_CAP"] = str(args.mem_cap)
     start = time.perf_counter()
     try:
-        result, plot = args.handler(args)
-    except ResourceError as exc:
+        result = args.handler(args)
+        wall = time.perf_counter() - start
+        params = {
+            k: v for k, v in vars(args).items()
+            if k not in ("handler", "command") and isinstance(v, (int, float, str, bool, list, type(None)))
+        }
+        record = {
+            "command": args.command,
+            "params": params,
+            "result": result,
+            "seed": getattr(args, "seed", None),
+            "version": __version__,
+            "wall_time": wall,
+        }
+        payload = json.dumps(record, indent=2, sort_keys=True)
+        if args.out:
+            with open(args.out, "w") as fh:
+                fh.write(payload + "\n")
+        else:
+            print(payload)
+    except (MspecError, OSError) as exc:  # OSError: only --out, --plot-data and --dump open files
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except MspecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, ResourceError) else 2
     finally:
         if args.mem_cap is not None:
             if saved_cap is None:
                 os.environ.pop("MSPC_MEM_CAP", None)
             else:
                 os.environ["MSPC_MEM_CAP"] = saved_cap
-    wall = time.perf_counter() - start
-    params = {
-        k: v for k, v in vars(args).items()
-        if k not in ("handler", "command") and isinstance(v, (int, float, str, bool, list, type(None)))
-    }
-    record = {
-        "command": args.command,
-        "params": params,
-        "result": result,
-        "seed": getattr(args, "seed", None),
-        "version": __version__,
-        "wall_time": wall,
-    }
-    payload = json.dumps(record, indent=2, sort_keys=True)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(payload + "\n")
-    else:
-        print(payload)
-    if plot is not None and args.plot_data:
-        _write_plot(args.plot_data, plot[0], plot[1])
     return 0
 
 

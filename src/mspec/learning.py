@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import threading
 import time
 from dataclasses import dataclass, field, replace
 
@@ -111,6 +110,11 @@ def _group_factors(shape: GroupShape):
     return ((slice(0, 2 * s), low), (slice(2 * s, 2 * shape.d), high)), order
 
 
+def _interleave(weights, biases) -> np.ndarray:
+    """The flat parameter layout: W_0 (row-major), b_0, W_1, b_1, ..."""
+    return np.concatenate([part.ravel() for pair in zip(weights, biases) for part in pair])
+
+
 class MlpModel:
     """Feed-forward tanh network with a scalar linear output head.
 
@@ -180,14 +184,9 @@ class MlpModel:
         g[:, cols_high] = sum_high @ high.T
         return g, sum_high.sum(axis=1)
 
-    def forward(self, inputs: np.ndarray):
-        """Returns (outputs (n,), activations).  Activations are feature-
-        major: a_0 = inputs.T, then one (width, n) array per hidden layer."""
-        ws = _Workspace(self, _batch_factors(inputs))
-        return self._forward(ws), [inputs.T] + ws.acts
-
     def __call__(self, inputs: np.ndarray) -> np.ndarray:
-        return self.forward(inputs)[0]
+        """Outputs (n,) at an (n, 2d) input batch."""
+        return self._forward(_Workspace(self, _batch_factors(inputs)))
 
     def _deltas(self, ws: "_Workspace") -> None:
         """Output sensitivities (width, n) of the hidden layers, in layer
@@ -243,25 +242,15 @@ class MlpModel:
         return g_w, g_b
 
     def gradient_at(self, inputs: np.ndarray):
-        """Full analytic gradient of f at a single input, flattened."""
+        """Full analytic gradient of f at a single input, flattened: the
+        weighted gradient of the one-point batch with weight 1."""
         ws = _Workspace(self, _batch_factors(inputs))
         self._forward(ws)
         self._deltas(ws)
-        pieces = []
-        for l in range(self.n_layers):
-            d = ws.deltas[l][:, 0] if l < self.n_layers - 1 else np.ones(1)
-            a = inputs[0] if l == 0 else ws.acts[l - 1][:, 0]
-            pieces.append((d[:, None] * a[None, :]).ravel())
-            pieces.append(d)
-        return np.concatenate(pieces)
+        return _interleave(*self.weighted_gradient(ws, np.ones(1)))
 
-    # flat parameter vector, layout matching gradient_at
     def get_flat(self) -> np.ndarray:
-        pieces = []
-        for l in range(self.n_layers):
-            pieces.append(self.weights[l].ravel())
-            pieces.append(self.biases[l])
-        return np.concatenate(pieces)
+        return _interleave(self.weights, self.biases)
 
     def set_flat(self, theta: np.ndarray) -> None:
         pos = 0
@@ -332,6 +321,8 @@ class NgdConfig:
     baseline: np.ndarray | None = None  # h_*, default the zero table
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.eta, self.R, self.tau, self.eps))):
+            raise ArgumentError("eta, R, tau and eps must be finite")
         if self.T < 0 or self.R <= 0 or self.tau < 0 or self.eps <= 0:
             raise ArgumentError("need T >= 0, R > 0, tau >= 0, eps > 0")
 
@@ -374,9 +365,8 @@ def ngd_train(model: MlpModel, target, shape: GroupShape, cfg: NgdConfig) -> dic
         np.divide(cfg.R, clip, out=clip)
         np.minimum(clip, 1.0, out=clip)
         w *= clip
-        g_w, g_b = model.weighted_gradient(ws, w)
+        g = _interleave(*model.weighted_gradient(ws, w))
         noise = rng.normal(0.0, cfg.tau, size=n_params) if cfg.tau > 0 else np.zeros(n_params)
-        g = np.concatenate([part.ravel() for pair in zip(g_w, g_b) for part in pair])
         model.set_flat(model.get_flat() + cfg.eta * (g - noise))
     out = model._forward(ws)
     final_loss = float(np.mean((out - h) ** 2))
@@ -395,34 +385,28 @@ def ngd_experiment(target, shape: GroupShape, cfg: NgdConfig, trials: int,
                    arch) -> dict:
     """Repeated seeded trainings against the alignment-driven failure
     ceiling.  Trial t uses seed sequence [cfg.seed, t, 0] for the model
-    and [cfg.seed, t, 1] for the noise, and runs on worker t % threads (at
-    most two threads) with the result of a sequential run; final_losses is
-    in trial order.  The first failed trial's exception is re-raised here."""
+    and [cfg.seed, t, 1] for the noise, on a pool of at most two threads,
+    with the result of a sequential run; final_losses is in trial order.
+    The first failed trial's exception, in trial order, is re-raised here,
+    and trials not yet started are dropped."""
+    from concurrent.futures import ThreadPoolExecutor  # kept off the CLI's import path
+
     if trials < 1:
         raise ArgumentError(f"trials must be >= 1, got {trials}")
     if cfg.tau <= 0:
         raise ArgumentError("tau must be > 0 for the bound comparison")
     h, baseline = _ngd_target(target, shape, cfg)
     entropy, threads = _seed_entropy(cfg.seed), min(2, _usable_cpus(), trials)
-    results = [None] * trials
 
-    def work(first):
-        try:
-            for t in range(first, trials, threads):
-                results[t] = ngd_train(MlpModel(shape, arch, seed=[entropy, t, 0]), h,
-                                       shape, replace(cfg, seed=[entropy, t, 1]))
-        except Exception as exc:  # re-raised in the calling thread
-            results[t] = exc
+    def trial(t):
+        return ngd_train(MlpModel(shape, arch, seed=[entropy, t, 0]), h, shape,
+                         replace(cfg, seed=[entropy, t, 1]))
 
-    workers = [threading.Thread(target=work, args=(k,), daemon=True) for k in range(1, threads)]
-    for worker in workers:
-        worker.start()
-    work(0)
-    for worker in workers:
-        worker.join()
-    for result in results:
-        if isinstance(result, Exception):
-            raise result
+    pool = ThreadPoolExecutor(threads)
+    try:
+        results = list(pool.map(trial, range(trials)))
+    finally:
+        pool.shutdown(cancel_futures=True)
     final_losses = [result["final_loss"] for result in results]
     rate = sum(bool(result["success"]) for result in results) / trials
     A = alignment_full_group(group_spectrum(h - baseline, shape)).value
@@ -486,11 +470,11 @@ class FixedFeatureStrategy:
 
 
 def csq_adversarial_game(learner, target, null_target, tau: float,
-                         q_max: int, seed: int = 0) -> CsqTranscript:
+                         q_max: int) -> CsqTranscript:
     """Oracle that replays the null answer whenever it is within tau of
     the truth, and otherwise gives the tau-compatible value nearest the
     null answer; any deviation raises the bad-event flag."""
-    if tau <= 0:
+    if not tau > 0:  # NaN too
         raise ArgumentError(f"tau must be > 0, got {tau}")
     h = np.asarray(target, dtype=np.float64)
     h0 = np.asarray(null_target, dtype=np.float64)

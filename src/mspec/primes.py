@@ -174,7 +174,7 @@ def parse_matrix(text: str) -> list:
     rows = []
     for part in text.split(";"):
         part = part.strip()
-        if not part or not part.isdigit():
+        if not part.isdecimal():
             raise ArgumentError(f"bad matrix row {part!r}")
         rows.append([int(ch) for ch in part])
     if len({len(r) for r in rows}) != 1:

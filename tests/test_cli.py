@@ -134,6 +134,39 @@ def test_plot_data_csv(tmp_path, capsys):
             float(cell)  # numeric columns only
 
 
+PLOT_COMMANDS = {"sieve", "spectrum", "covariance", "decay-table"}
+MINIMAL_ARGV = {
+    "sieve": ["--limit", "10"], "spectrum": ["--shape", "2^3"],
+    "correlate": ["--shape", "2^3", "--char", "1"], "align": ["--shape", "2^3"],
+    "gram-oracle": ["--shape", "2^3"], "katai": ["--shape", "3^2"],
+    "bounds-check": ["--shape", "3^2", "--char", "1", "--check", "l1"],
+    "digital-pnt": ["--p", "3", "--d", "3", "--L", "010", "--b", "0"],
+    "lambda-balance": ["--shape", "3^2"], "covariance": ["--X", "10"],
+    "ngd": ["--shape", "2^3", "--trials", "1", "--T", "1"],
+    "csq": ["--shape", "2^3", "--samples", "1"], "decay-table": ["--dims", "2,3"],
+}
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+def test_plot_data_only_where_a_plot_is_written(command, tmp_path, capsys):
+    path = tmp_path / "plot.csv"
+    code = run_command([command, *MINIMAL_ARGV[command], "--plot-data", str(path)])
+    captured = capsys.readouterr()
+    if command in PLOT_COMMANDS:
+        assert code == 0 and path.read_text().count("\n") >= 2
+    else:
+        assert code == 2 and not path.exists()
+        assert "--plot-data" in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("flag", ["--out", "--plot-data", "--dump"])
+def test_unwritable_output_path_exits_2(flag, tmp_path, capsys):
+    path = tmp_path / "missing" / "file"
+    assert run_command(["sieve", "--limit", "10", flag, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert str(path) in captured.err and "Traceback" not in captured.err
+
+
 def test_covariance_cli(capsys):
     code, rec = run_json(["covariance", "--X", "100", "--mode", "explicit"],
                          capsys)
@@ -207,6 +240,13 @@ def test_ngd_runs_on_one_digit_and_one_digit_per_block(text, capsys):
     (["ngd", "--shape", "2^4", "--arch", "-2"], "--arch"),
     (["ngd", "--shape", "2^4", "--arch", "4,0"], "--arch"),
     (["csq", "--shape", "2^3", "--q", "-2", "--samples", "2"], "--q"),
+    (["csq", "--shape", "2^4", "--tau", "nan"], "--tau"),
+    (["ngd", "--shape", "2^4", "--R", "inf"], "--R"),
+    (["ngd", "--shape", "2^4", "--eta", "nan"], "--eta"),
+    (["ngd", "--shape", "2^4", "--tau", "-inf"], "--tau"),
+    (["ngd", "--shape", "2^4", "--eps", "NaN"], "--eps"),
+    (["katai", "--shape", "3^3", "--delta", "inf"], "--delta"),
+    (["katai", "--shape", "3^3", "--delta", "x"], "--delta"),
 ])
 def test_nonpositive_counts_rejected(argv, flag, capsys):
     assert run_command(argv) == 2

@@ -5,7 +5,9 @@ raises anything else escapes as a traceback and fails this test.  The
 draws stay small: shapes with X <= 4096 (X <= 256 for the Gram oracle),
 at most 5 csq samples, decay-table degrees up to 10 (X <= 2401 for odd
 p), digital-pnt degrees up to 6, and small signed integers, zero
-included, for every numeric flag.
+included, for every numeric flag; float flags also draw nan, inf, -inf and
+fractions, and --L rows may hold a superscript two, which str.isdigit
+accepts but int() does not.
 """
 
 import contextlib
@@ -31,6 +33,7 @@ BAD_SHAPES = ["4^2", "2^0", "3*2", "2^x", "", "2^-3", "2*2"]
 SHAPES = st.sampled_from(_shape_literals(4096) + BAD_SHAPES)
 SMALL_SHAPES = st.sampled_from(_shape_literals(256) + BAD_SHAPES)
 SIGNED = st.integers(-3, 12)
+FLOATS = st.one_of(SIGNED, st.sampled_from(["nan", "inf", "-inf", "-nan", "0.5", "1e-3"]))
 FUNCTIONS = st.sampled_from(["mobius", "liouville", "von-mangoldt", "square-indicator"])
 
 
@@ -70,7 +73,7 @@ def argvs(draw):
         argv += ["--group", draw(st.sampled_from(["full", "semidirect", "subgroup"])),
                  "--generators", _list(draw(st.lists(st.integers(-5, 5000), max_size=4)))]
     elif command == "katai":
-        argv += _flags(draw, ["char"], chars) + _flags(draw, ["delta"])
+        argv += _flags(draw, ["char"], chars) + _flags(draw, ["delta"], FLOATS)
         argv += ["--budget", str(draw(st.integers(-3, 50000)))]
     elif command == "bounds-check":
         argv += ["--char", str(draw(chars)),
@@ -82,7 +85,7 @@ def argvs(draw):
     elif command == "digital-pnt":
         d = draw(st.integers(-1, 6))
         width = draw(st.sampled_from([max(d, 1), 3]))
-        rows = st.lists(st.text("0123", min_size=width, max_size=width), min_size=1, max_size=2)
+        rows = st.lists(st.text("0123\u00b2", min_size=width, max_size=width), min_size=1, max_size=2)
         argv += ["--p", str(draw(st.sampled_from([2, 3, 5, 4, 0, -3]))), "--d", str(d),
                  "--L", ";".join(draw(rows)),
                  "--b", draw(st.text("0123", min_size=1, max_size=2))]
@@ -90,14 +93,14 @@ def argvs(draw):
         argv += ["--X", str(draw(SIGNED)),
                  "--mode", draw(st.sampled_from(["formula", "explicit"]))]
     elif command == "ngd":
-        argv += _flags(draw, ["R", "tau", "eta", "eps"])
+        argv += _flags(draw, ["R", "tau", "eta", "eps"], FLOATS)
         argv += ["--trials", str(draw(st.integers(-1, 3))),
                  "--T", str(draw(st.integers(-1, 6)))]
         if draw(st.booleans()):
             argv += ["--arch", _list(draw(st.lists(st.integers(-2, 6), min_size=1,
                                                    max_size=2)))]
     elif command == "csq":
-        argv += _flags(draw, ["tau", "q"])
+        argv += _flags(draw, ["tau"], FLOATS) + _flags(draw, ["q"])
         argv += ["--samples", str(draw(st.integers(-1, 5)))]
     elif command == "decay-table":
         # degrees up to 10 for the default p = 2, and X <= 2401 for odd p

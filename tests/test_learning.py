@@ -117,6 +117,10 @@ def test_ngd_caps_and_errors():
                        trials=1, arch=[4])
     with pytest.raises(ArgumentError):
         NgdConfig(T=-1)
+    for field in ("eta", "R", "tau", "eps"):
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ArgumentError, match="finite"):
+                NgdConfig(**{field: value})
     big = GroupShape([2], [21])
     with pytest.raises(ResourceError):
         ngd_train(MlpModel(big, [2]), np.zeros(big.X), big, NgdConfig(T=1))
@@ -178,7 +182,8 @@ def test_ngd_experiment_threads_match_sequential(monkeypatch):
 
 def test_ngd_experiment_reraises_first_trial_error(monkeypatch):
     """A trial's exception reaches the caller as raised, from a worker
-    thread too: trial 3 runs on the second worker, trial 4 on the first."""
+    thread too, and the first in trial order wins: trial 4 may fail before
+    trial 3 does."""
     import mspec.learning
 
     train = mspec.learning.ngd_train
@@ -197,11 +202,36 @@ def test_ngd_experiment_reraises_first_trial_error(monkeypatch):
     cfg = NgdConfig(T=2, tau=0.05)
     with pytest.raises(ArgumentError, match="^trial 3$"):
         ngd_experiment(np.zeros(s.X), s, cfg, trials=5, arch=[4])
-    assert sorted(started) == [0, 1, 2, 3, 4]
+    assert {0, 1, 2, 3} <= set(started)
     started.clear()
     with pytest.raises(ArgumentError, match="target length"):
         ngd_experiment(np.zeros(s.X - 1), s, cfg, trials=5, arch=[4])
     assert started == []  # checked before any trial starts
+
+
+def test_ngd_experiment_drops_unstarted_trials_after_an_error(monkeypatch):
+    """Trial 0 fails at once while every other trial takes 0.2 s: the
+    error reaches the caller without the other worker running the rest."""
+    import time
+
+    import mspec.learning
+
+    started = []
+
+    def failing(model, target, shape, cfg):
+        t = cfg.seed[1]
+        started.append(t)
+        if t == 0:
+            raise ArgumentError("trial 0")
+        time.sleep(0.2)
+        return {"final_loss": 0.0, "success": False}
+
+    monkeypatch.setattr(mspec.learning, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(mspec.learning, "ngd_train", failing)
+    s = GroupShape([2], [5])
+    with pytest.raises(ArgumentError, match="^trial 0$"):
+        ngd_experiment(np.zeros(s.X), s, NgdConfig(T=2, tau=0.05), trials=20, arch=[4])
+    assert len(started) < 10
 
 
 def test_ngd_experiment_keeps_final_losses():
@@ -290,8 +320,9 @@ def test_csq_protocol_errors():
 
     with pytest.raises(ArgumentError):
         csq_adversarial_game(BadQuery(), np.zeros(s.X), np.zeros(s.X), 0.1, 1)
-    with pytest.raises(ArgumentError):
-        csq_adversarial_game(BadQuery(), np.zeros(s.X), np.zeros(s.X), 0.0, 1)
+    for tau in (0.0, math.nan):
+        with pytest.raises(ArgumentError, match="tau"):
+            csq_adversarial_game(BadQuery(), np.zeros(s.X), np.zeros(s.X), tau, 1)
 
 
 def test_fixed_features_stop_at_q(monkeypatch):

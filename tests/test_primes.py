@@ -143,3 +143,5 @@ def test_parse_matrix():
         parse_matrix("12;345")
     with pytest.raises(ArgumentError):
         parse_matrix("1a2")
+    with pytest.raises(ArgumentError):
+        parse_matrix("1\u00b2")  # a superscript two: str.isdigit, not a decimal digit
