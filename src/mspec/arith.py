@@ -32,6 +32,8 @@ KINDS = ("mobius", "liouville", "von_mangoldt", "square_indicator")
 _KIND_CODES = {k: i for i, k in enumerate(KINDS)}
 
 _MAGIC = b"MSPC"
+# entries per read when load_table checks a von Mangoldt dump
+_LOAD_CHUNK = 1 << 16
 
 
 def memory_cap() -> int:
@@ -153,10 +155,9 @@ def _sieve_von_mangoldt(limit: int, segment_size: int):
             start = max(lo + (-lo) % p, p * p)
             if start < hi:
                 composite[start - lo : hi - lo : p] = True
-        n = np.arange(lo, hi, dtype=np.int64)
         prime_mask = ~composite
         prime_mask[: max(0, 2 - lo)] = False
-        primes_here = n[prime_mask]
+        primes_here = np.flatnonzero(prime_mask) + lo
         values[primes_here] = np.log(primes_here)
         pp_prime[primes_here] = primes_here
         pp_exp[primes_here] = 1
@@ -222,7 +223,43 @@ def dump_table(table: ArithmeticTable, path: str) -> None:
         fh.write(np.ascontiguousarray(table.values, dtype=dtype).data)
 
 
+def payload_chunks(fh, count: int, dtype, chunk: int, what: str, says: str):
+    """Check that the rest of the open dump ``fh`` holds exactly ``count``
+    entries of ``dtype``, by the file's byte count and before anything is
+    allocated; then return an iterator of (start, entries) over them, read
+    ``chunk`` entries at a time into one buffer that each step reuses.
+
+    A wrong size, a short read or bytes past the payload raise
+    ArgumentError saying "<what> dump holds N payload bytes; its header
+    says <says>"."""
+    dtype = np.dtype(dtype)
+    size = count * dtype.itemsize
+
+    def wrong_size(held):
+        held = f"more than {size}" if held > size else str(held)
+        return ArgumentError(f"{what} dump holds {held} payload bytes; its header says {says}")
+
+    held = os.fstat(fh.fileno()).st_size - fh.tell()
+    if held != size:
+        raise wrong_size(held)
+
+    def chunks():
+        buf = np.empty(min(count, chunk), dtype)
+        for lo in range(0, count, chunk):
+            part = buf[: min(chunk, count - lo)]
+            got = fh.readinto(part)
+            if got != part.nbytes:
+                raise wrong_size(lo * dtype.itemsize + got)
+            yield lo, part
+        if fh.read(1):
+            raise wrong_size(size + 1)
+
+    return chunks()
+
+
 def load_table(path: str) -> ArithmeticTable:
+    """Read a dump_table file.  A von Mangoldt dump is checked against a
+    fresh sieve, chunk by chunk, and the sieved table is returned."""
     with open(path, "rb") as fh:
         header = fh.read(16)
         if header[:4] != _MAGIC or len(header) < 16:
@@ -236,17 +273,16 @@ def load_table(path: str) -> ArithmeticTable:
             raise ResourceError(f"table dump header says {limit} entries; "
                                 f"memory cap is {cap} entries")
         dtype = np.dtype("<f8" if kind == "von_mangoldt" else np.int8)
-        size = dtype.itemsize * limit
-        payload = fh.read(size + 1)
-    if len(payload) != size:
-        held = "more than " + str(size) if len(payload) > size else str(len(payload))
-        raise ArgumentError(f"table dump holds {held} payload bytes; its "
-                            f"header says {limit} entries of {dtype.itemsize} bytes")
-    values = np.frombuffer(payload, dtype=dtype)  # read-only, as the table keeps it
-    if kind == "von_mangoldt":
-        # pairs are reconstructed rather than stored
-        rebuilt = sieve(kind, limit)
-        if not np.allclose(rebuilt.values, values):
-            raise ArgumentError("corrupt von_mangoldt dump")
-        return rebuilt
+        chunks = payload_chunks(fh, limit, dtype, _LOAD_CHUNK, "table",
+                                f"{limit} entries of {dtype.itemsize} bytes")
+        if kind == "von_mangoldt":
+            # pairs are reconstructed rather than stored
+            rebuilt = sieve(kind, limit)
+            for lo, part in chunks:
+                if not np.allclose(rebuilt.values[lo : lo + part.size], part):
+                    raise ArgumentError("corrupt von_mangoldt dump")
+            return rebuilt
+        values = np.empty(limit, dtype)
+        for lo, part in chunks:
+            values[lo : lo + part.size] = part
     return ArithmeticTable(kind, limit, values)

@@ -355,10 +355,17 @@ def ngd_train(model: MlpModel, target, shape: GroupShape, cfg: NgdConfig) -> dic
     n_params = model.get_flat().size
     w = np.empty(shape.X)
     trace = []
+
+    def record(loss):
+        if not math.isfinite(loss):
+            raise ArgumentError(f"NGD diverged: loss {loss} after {len(trace)} steps "
+                                f"is not finite; lower --eta (got {cfg.eta})")
+        trace.append(loss)
+
     for _ in range(cfg.T):
         out = model._forward(ws)
         np.subtract(h, out, out=w)  # the residual, clipped in place below
-        trace.append(float(np.mean(np.square(w, out=ws.term))))  # term: free until the norms
+        record(float(np.mean(np.square(w, out=ws.term))))  # term: free until the norms
         model._deltas(ws)
         clip = model.per_example_grad_norms(ws)
         np.maximum(clip, 1e-300, out=clip)
@@ -370,7 +377,7 @@ def ngd_train(model: MlpModel, target, shape: GroupShape, cfg: NgdConfig) -> dic
         model.set_flat(model.get_flat() + cfg.eta * (g - noise))
     out = model._forward(ws)
     final_loss = float(np.mean((out - h) ** 2))
-    trace.append(final_loss)
+    record(final_loss)
     success = final_loss <= baseline_loss - cfg.eps
     return {"model": model, "loss_trace": trace, "success": success,
             "final_loss": final_loss, "baseline_loss": baseline_loss}

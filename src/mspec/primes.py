@@ -122,10 +122,7 @@ def count_primes_digit_condition(L: LinearDigitMap, b, shape: GroupShape) -> dic
     image = shape.block_table(0, L.rows[:, :, None] * np.arange(L.p)) % L.p
     in_fiber = (image == b[:, None]).all(axis=0)
 
-    prime_mask = (table.pp_prime == np.arange(X, dtype=np.int64)) & (
-        np.arange(X) >= 2
-    )
-    count = int(np.count_nonzero(prime_mask & in_fiber))
+    count = int(np.count_nonzero((table.pp_exp == 1) & in_fiber))  # exponent 1: the primes
     lambda_sum = float(table.values[in_fiber].sum())
 
     main_term = float(ss.value) / L.p**L.m * X / math.log(X)

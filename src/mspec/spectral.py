@@ -29,7 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .arith import ArithmeticTable
+from .arith import ArithmeticTable, payload_chunks
 from .errors import ArgumentError, ResourceError
 from .group import CharacterIndex, GroupShape, char_values, roots_of_unity
 
@@ -551,10 +551,7 @@ def dump_spectrum(spec: Spectrum, path: str) -> None:
     with open(path, "wb") as fh:
         fh.write(_SPECTRUM_MAGIC)
         fh.write(struct.pack("<Q", spec.shape.X))
-        pairs = np.empty((spec.coeffs.size, 2), dtype="<f8")
-        pairs[:, 0] = spec.coeffs.real
-        pairs[:, 1] = spec.coeffs.imag
-        fh.write(pairs.tobytes())
+        fh.write(np.ascontiguousarray(spec.coeffs, dtype="<c16").data)
 
 
 def load_spectrum(path: str, shape: GroupShape) -> Spectrum:
@@ -565,10 +562,7 @@ def load_spectrum(path: str, shape: GroupShape) -> Spectrum:
         (X,) = struct.unpack("<Q", header[4:])
         if X != shape.X:
             raise ArgumentError(f"dump is for X={X}, shape has X={shape.X}")
-        payload = fh.read(16 * X + 1)
-    if len(payload) != 16 * X:
-        held = "more than " + str(16 * X) if len(payload) > 16 * X else str(len(payload))
-        raise ArgumentError(f"spectrum dump holds {held} payload bytes; its "
-                            f"header says {X} coefficients of 16 bytes")
-    pairs = np.frombuffer(payload, dtype="<f8").reshape(X, 2)
-    return Spectrum(shape, pairs[:, 0] + 1j * pairs[:, 1])
+        # one chunk of all X coefficients, read into a fresh array
+        (_, coeffs), = payload_chunks(fh, X, "<c16", X, "spectrum",
+                                      f"{X} coefficients of 16 bytes")
+    return Spectrum(shape, coeffs)

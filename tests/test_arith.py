@@ -227,3 +227,31 @@ def test_load_rejects_unknown_kind(tmp_path):
         fh.write(data)
     with pytest.raises(ArgumentError, match="kind"):
         load_table(path)
+
+
+def _traced_peak(call):
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_von_mangoldt_sieve_and_load_peaks(tmp_path):
+    """The sieve holds its 17 B/entry output plus segment scratch, and the
+    loader no more than the sieve plus one 2^16-entry float64 chunk
+    (512 KiB).  With an int64 arange of the segment the sieve peaked at
+    28.3 B/entry here, and holding the whole payload put the loader at
+    42 B/entry."""
+    limit = 1 << 20
+    table, sieve_peak = _traced_peak(lambda: sieve("von_mangoldt", limit))
+    assert sieve_peak <= 22 * limit
+    path = str(tmp_path / "vm.bin")
+    dump_table(table, path)
+    del table
+    loaded, load_peak = _traced_peak(lambda: load_table(path))
+    assert loaded.limit == limit
+    assert load_peak <= sieve_peak + (1 << 19)

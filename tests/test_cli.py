@@ -255,6 +255,21 @@ def test_nonpositive_counts_rejected(argv, flag, capsys):
     assert flag in captured.err and "Traceback" not in captured.err
 
 
+
+def test_ngd_divergence_exits_2(capsys):
+    """A step so large that the loss overflows is refused, naming --eta,
+    instead of a record with a NaN loss (which is not JSON)."""
+    import warnings
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # numpy's overflow notices
+        code = run_command(["ngd", "--shape", "2^4", "--eta", "1e308", "--T", "3",
+                            "--trials", "1"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--eta" in captured.err and "Traceback" not in captured.err
+
 @pytest.mark.parametrize("argv,flag", [
     (["spectrum", "--shape", "2^x"], "--shape"),
     (["spectrum", "--shape", "4^2"], "--shape"),

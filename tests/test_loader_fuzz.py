@@ -1,0 +1,185 @@
+"""Damaged dumps end in a faithful result, ArgumentError or ResourceError.
+
+Each example dumps a small table or spectrum, then truncates it, appends
+bytes, flips payload bits, overwrites one payload entry or lies in the
+header (kind code, limit, X), or leaves it whole.  The test decides on
+its own whether the bytes are still a sound dump (header, size and, for
+von Mangoldt, a payload allclose to the sieve).  A sound dump must load
+and give back what the file holds: the header's kind and limit with the
+payload's entries, or for von Mangoldt the sieved table.  Any other dump
+must end in ArgumentError or ResourceError; any other exception, a
+short table included, fails the test.  Table examples also draw the
+loader's chunk size, so a damaged entry falls in the first, a middle or
+the last chunk.
+"""
+
+import math
+import os
+import struct
+import tempfile
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from mspec import GroupShape, dump_table, group_spectrum, load_table, sieve
+from mspec import arith
+from mspec.errors import ArgumentError, ResourceError
+from mspec.spectral import dump_spectrum, load_spectrum
+
+NAN = struct.pack("<d", math.nan)
+
+MUTATIONS = st.lists(st.one_of(
+    st.tuples(st.just("truncate"), st.integers(0, 1 << 14)),
+    st.tuples(st.just("append"), st.binary(min_size=1, max_size=32)),
+    st.tuples(st.just("flip"), st.integers(0, 1 << 20)),        # payload bit
+    st.tuples(st.just("poke"), st.integers(0, 1 << 14), st.sampled_from([NAN, bytes(8)])),
+    st.tuples(st.just("code"), st.integers(0, 255)),           # table kind code
+    st.tuples(st.just("count"), st.one_of(st.integers(0, 1 << 14),
+                                          st.integers(0, 2**64 - 1))),  # limit or X
+), min_size=1, max_size=3)
+
+
+def _mutate(data, header, count_at, mutations):
+    """Apply the mutations in order; payload offsets wrap around its length."""
+    data = bytearray(data)
+    for name, *args in mutations:
+        payload = len(data) - header
+        if name == "truncate":
+            del data[min(args[0], len(data)):]
+        elif name == "append":
+            data += args[0]
+        elif name == "flip" and payload > 0:
+            bit = args[0] % (8 * payload)
+            data[header + bit // 8] ^= 1 << bit % 8
+        elif name == "poke" and payload >= 8:
+            at = header + 8 * (args[0] % (payload // 8))
+            data[at : at + 8] = args[1]
+        elif name == "code" and count_at == 8 and len(data) > 4:
+            data[4] = args[0]
+        elif name == "count" and len(data) >= count_at + 8:
+            data[count_at : count_at + 8] = args[0].to_bytes(8, "little")
+    return bytes(data)
+
+
+def _load(loader, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "dump.bin")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        try:
+            return loader(path)
+        except (ArgumentError, ResourceError):
+            return None
+
+
+def _table_dump_is_sound(data):
+    """Whether load_table must accept these bytes, decided without it."""
+    if len(data) < 16 or data[:4] != b"MSPC":
+        return False
+    code, limit = struct.unpack("<B3xQ", data[4:16])
+    if code >= len(arith.KINDS) or limit > arith.memory_cap():
+        return False
+    kind = arith.KINDS[code]
+    width = 8 if kind == "von_mangoldt" else 1
+    if len(data) - 16 != width * limit:
+        return False
+    if kind != "von_mangoldt":
+        return True
+    return limit >= 1 and np.allclose(sieve(kind, limit).values,
+                                      np.frombuffer(data[16:], "<f8"))
+
+
+@settings(max_examples=150, deadline=None)
+@given(kind=st.sampled_from(arith.KINDS), limit=st.integers(1, 3000),
+       chunk=st.sampled_from([1, 7, 64, 1 << 16]),
+       mutations=st.one_of(st.just([]), MUTATIONS))
+@example(kind="von_mangoldt", limit=2000, chunk=64,
+         mutations=[("poke", 1999, NAN)])                     # the last chunk
+@example(kind="von_mangoldt", limit=2000, chunk=7,
+         mutations=[("poke", 5, NAN)])                        # a middle chunk
+@example(kind="von_mangoldt", limit=2000, chunk=64,
+         mutations=[("flip", 8 * 8 * 1999)])                  # last mantissa bit of Λ(1999)
+@example(kind="mobius", limit=500, chunk=64, mutations=[("count", 1 << 40)])
+@example(kind="mobius", limit=500, chunk=64, mutations=[("code", 2)])
+@example(kind="liouville", limit=800, chunk=64, mutations=[("code", 2), ("count", 100)])
+def test_damaged_table_dump(kind, limit, chunk, mutations):
+    original = sieve(kind, limit)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "dump.bin")
+        dump_table(original, path)
+        with open(path, "rb") as fh:
+            data = _mutate(fh.read(), 16, 8, mutations)
+    with mock.patch.object(arith, "_LOAD_CHUNK", chunk):
+        got = _load(load_table, data)
+    assert (got is not None) == _table_dump_is_sound(data)
+    if got is None:
+        return
+    code, count = struct.unpack("<B3xQ", data[4:16])
+    assert (got.kind, got.limit) == (arith.KINDS[code], count)
+    if got.kind == "von_mangoldt":
+        want = sieve("von_mangoldt", count)
+        for field in ("values", "pp_prime", "pp_exp"):
+            assert np.array_equal(getattr(got, field), getattr(want, field))
+    else:
+        assert got.values.dtype == np.int8
+        assert got.values.tobytes() == data[16:]
+
+
+SPECTRUM_SHAPES = [GroupShape([3], [3]), GroupShape([2], [6]), GroupShape([2, 5], [2, 1])]
+
+
+@settings(max_examples=80, deadline=None)
+@given(shape=st.sampled_from(SPECTRUM_SHAPES), seed=st.integers(0, 2**32 - 1),
+       mutations=st.one_of(st.just([]), MUTATIONS))
+@example(shape=SPECTRUM_SHAPES[0], seed=0, mutations=[("count", 28)])
+@example(shape=SPECTRUM_SHAPES[1], seed=0, mutations=[("poke", 127, NAN)])
+def test_damaged_spectrum_dump(shape, seed, mutations):
+    values = np.random.default_rng(seed).normal(size=shape.X)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "spec.bin")
+        dump_spectrum(group_spectrum(values, shape), path)
+        with open(path, "rb") as fh:
+            data = _mutate(fh.read(), 12, 4, mutations)
+    got = _load(lambda path: load_spectrum(path, shape), data)
+    sound = (len(data) >= 12 and data[:4] == b"MSPS"
+             and struct.unpack("<Q", data[4:12])[0] == shape.X
+             and len(data) - 12 == 16 * shape.X)
+    assert (got is not None) == sound
+    if got is None:
+        return
+    assert got.coeffs.shape == (shape.X,)
+    assert got.coeffs.tobytes() == data[12:]
+
+
+def test_nan_in_the_last_chunk_is_corrupt(tmp_path):
+    limit = 2 * arith._LOAD_CHUNK + 3
+    path = tmp_path / "vm.bin"
+    dump_table(sieve("von_mangoldt", limit), str(path))
+    data = bytearray(path.read_bytes())
+    data[-8:] = NAN
+    path.write_bytes(bytes(data))
+    with pytest.raises(ArgumentError, match="corrupt von_mangoldt dump"):
+        load_table(str(path))
+
+
+@pytest.mark.parametrize("kind", ["mobius", "von_mangoldt"])
+@pytest.mark.parametrize("lie", [+8, -8])
+def test_file_that_changes_under_the_loader(tmp_path, kind, lie):
+    """If the file's byte count, taken first, no longer matches what the
+    reads find, the loader still refuses: a short read or a byte past
+    the payload is an ArgumentError, not a short table."""
+    path = tmp_path / "t.bin"
+    dump_table(sieve(kind, 1000), str(path))
+    data = path.read_bytes()
+    path.write_bytes(data[:-8] if lie > 0 else data + bytes(8))
+    real_fstat = os.fstat
+
+    def lying_fstat(fd):
+        real = real_fstat(fd)
+        return os.stat_result((*real[:6], real.st_size + lie, *real[7:]))
+
+    with mock.patch.object(arith.os, "fstat", lying_fstat):
+        with pytest.raises(ArgumentError, match="payload bytes"):
+            load_table(str(path))

@@ -510,6 +510,35 @@ def test_spectrum_dump_roundtrip(tmp_path):
         assert len(fh.readlines()) == s.X
 
 
+
+def test_spectrum_dump_roundtrip_is_exact(tmp_path):
+    """Every coefficient comes back bit for bit, signed zeros and
+    non-finite parts included, and neither direction copies the
+    coefficients as (re, im) pairs: at 2^16 the dump allocates under
+    1 B/X beyond them and the load 16 B/X plus under 1 B/X."""
+    import tracemalloc
+
+    s = GroupShape([2], [16])
+    coeffs = group_spectrum(np.random.default_rng(1).normal(size=s.X), s).coeffs.copy()
+    coeffs[:4] = [complex(-0.0, -0.0), complex(np.inf, -np.inf),
+                  complex(np.nan, 1.0), complex(0.0, -0.0)]
+    spec = Spectrum(s, coeffs)
+    path = str(tmp_path / "spec.bin")
+    tracemalloc.start()
+    try:
+        dump_spectrum(spec, path)
+        dump_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        back = load_spectrum(path, s)
+        load_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert back.coeffs.dtype == np.complex128
+    assert np.array_equal(back.coeffs[4:], spec.coeffs[4:])
+    assert back.coeffs.tobytes() == spec.coeffs.tobytes()
+    assert dump_peak < s.X
+    assert load_peak < 17 * s.X
+
 def _dumped_spectrum(tmp_path):
     s = GroupShape([3], [3])
     path = tmp_path / "spec.bin"
