@@ -32,7 +32,7 @@ KINDS = ("mobius", "liouville", "von_mangoldt", "square_indicator")
 _KIND_CODES = {k: i for i, k in enumerate(KINDS)}
 
 _MAGIC = b"MSPC"
-# entries per read when load_table checks a von Mangoldt dump
+# entries per read when load_table checks a dump
 _LOAD_CHUNK = 1 << 16
 
 
@@ -258,8 +258,10 @@ def payload_chunks(fh, count: int, dtype, chunk: int, what: str, says: str):
 
 
 def load_table(path: str) -> ArithmeticTable:
-    """Read a dump_table file.  A von Mangoldt dump is checked against a
-    fresh sieve, chunk by chunk, and the sieved table is returned."""
+    """Read a dump_table file, chunk by chunk.  A von Mangoldt dump is
+    checked against a fresh sieve, and the sieved table is returned; any
+    other dump must hold values in {-1, 0, 1} ({0, 1} for the square
+    indicator) with entry 0 equal to 0, as every sieve writes them."""
     with open(path, "rb") as fh:
         header = fh.read(16)
         if header[:4] != _MAGIC or len(header) < 16:
@@ -282,7 +284,12 @@ def load_table(path: str) -> ArithmeticTable:
                 if not np.allclose(rebuilt.values[lo : lo + part.size], part):
                     raise ArgumentError("corrupt von_mangoldt dump")
             return rebuilt
+        low = 0 if kind == "square_indicator" else -1
         values = np.empty(limit, dtype)
         for lo, part in chunks:
+            if part.min() < low or part.max() > 1 or (lo == 0 and part[0]):
+                raise ArgumentError(
+                    f"corrupt {kind} dump: entries in [{lo}, {lo + part.size}) "
+                    f"leave [{low}, 1] or entry 0 is not 0")
             values[lo : lo + part.size] = part
     return ArithmeticTable(kind, limit, values)

@@ -13,9 +13,13 @@ last run.  A prime above 128 takes one numpy FFT per digit instead, with
 the same rotation; there the FFT is the cheaper of the two.
 
 The additive-Fourier coefficients of a digital character factor through
-the CRT into one length-p^d DFT per block; those block coefficients
-drive the norm-bound checkers and the frequency-truncated characters.
-A per-digit Dirichlet-kernel closed form gives single coefficients.
+the CRT into one table per block, and within a block into one
+Dirichlet-kernel factor per digit.  Every digit of a p^d block reads its
+factor from one cached kernel table per (p, d), so a block's
+coefficients cost a product of shifted kernel rows and no transform;
+those block coefficients drive the norm-bound checkers and the
+frequency-truncated characters.  The same per-digit kernel in closed
+form, gq, gives single coefficients.
 """
 
 from __future__ import annotations
@@ -218,17 +222,50 @@ def gq(q: int, y: float) -> float:
     return sign
 
 
+@lru_cache(maxsize=16)
+def _digit_kernel(p: int, e: int) -> np.ndarray:
+    """D(u) = (1/p) sum_{t<p} e(t u / p^e) for u < p^e, as a read-only
+    (p, p^(e-1)) array whose row s holds u = v + p^(e-1) s.
+
+    Splitting e(t u / p^e) = e(t v / p^e) e(t s / p) makes the kernel one
+    gemm of the (p, p) DFT matrix against the terms e(t v / p^e), whose
+    exponents t v < p^e are exact.  The cache holds up to 16 kernels of
+    16 B per block entry each.
+    """
+    m = p ** (e - 1)
+    omega = roots_of_unity(p)[np.outer(np.arange(p), np.arange(p)) % p] / p
+    kernel = omega @ np.exp((2j * np.pi / (p * m)) * np.outer(np.arange(p), np.arange(m)))
+    kernel.setflags(write=False)
+    return kernel
+
+
 def _local_coeffs(a_digits, p: int, e: int) -> np.ndarray:
     """Additive-Fourier coefficients of one base-p block character.
 
-    Entry kappa is (1/p^e) sum_x chi(x) e(-kappa x / p^e), the DFT of
-    the character's values over the block.
+    Entry kappa is (1/p^e) sum_x chi(x) e(-kappa x / p^e).  Over the
+    digits of x it factors as prod_j conj D_n((kappa - a_j n/p) mod n)
+    with n = p^(e-j) and D_n(u) = (1/p) sum_{t<p} e(t u / n); D_n is the
+    kernel of _digit_kernel(p, e) read every p^e/n-th entry.  The product
+    is built from the top digit down, n = p, p^2, ..., p^e: the factor
+    for modulus n, as a (p, n/p) array indexed by kappa = v + (n/p) s,
+    is the strided kernel's rows rotated by a_j; the product so far depends
+    on kappa mod n/p = v only, so it broadcasts along s.
     """
     b = p**e
     if b > BLOCK_CAP:
         raise ResourceError(f"block size {b} exceeds cap {BLOCK_CAP}")
-    block = GroupShape([p], [e])
-    return np.fft.fft(char_values(CharacterIndex.from_digits(a_digits, block), block)) / b
+    flat = _digit_kernel(p, e).reshape(-1)
+    coeffs = np.ones(1, dtype=np.complex128)
+    n = 1
+    for a in reversed(a_digits):
+        n *= p
+        rows = flat[:: b // n].reshape(p, n // p)
+        out = np.empty((p, n // p), dtype=np.complex128)
+        np.multiply(rows[: p - a], coeffs, out=out[a:])
+        if a:
+            np.multiply(rows[p - a :], coeffs, out=out[:a])
+        coeffs = out.reshape(-1)
+    return np.conj(coeffs, out=coeffs)
 
 
 def _local_kprime(shape: GroupShape, i: int, k: int) -> int:
@@ -327,6 +364,8 @@ def interval_l1_sum(a: CharacterIndex, shape: GroupShape, lo: int, hi: int):
     inspection against the square-root barrier."""
     if not 0 <= lo < hi <= shape.X:
         raise ArgumentError(f"need 0 <= lo < hi <= X, got [{lo}, {hi})")
+    if hi - lo > SPECTRUM_CAP:
+        raise ResourceError(f"interval length {hi - lo} exceeds the cap {SPECTRUM_CAP}")
     mags_by_k = _block_magnitudes_by_k(a, shape)
     ks = np.arange(lo, hi, dtype=np.int64)
     prod = np.ones(hi - lo, dtype=np.float64)
@@ -350,6 +389,8 @@ def truncated_character(a: CharacterIndex, shape: GroupShape, cutoffs):
         raise ArgumentError(f"need {shape.r} per-block cutoffs")
     if any(K < 1 for K in cutoffs):
         raise ArgumentError(f"cutoffs must be >= 1, got {cutoffs}")
+    if shape.X > SPECTRUM_CAP:
+        raise ResourceError(f"X = {shape.X} exceeds the truncated-character cap {SPECTRUM_CAP}")
     block_values = []
     support = []
     for i, (p, e) in enumerate(zip(shape.primes, shape.exponents)):

@@ -373,6 +373,16 @@ def test_caps_refuse_before_the_sieve(argv, cap, capsys, monkeypatch):
     assert f"cap {cap}" in captured.err and "Traceback" not in captured.err
 
 
+def test_bounds_check_interval_over_the_cap_exits_3(capsys):
+    argv = ["bounds-check", "--shape", "2^20*3^12", "--char", "5",
+            "--check", "interval", "--lo", "0", "--hi", "557256278016"]
+    assert run_command(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"interval length 557256278016 exceeds the cap {SPECTRUM_CAP}" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_katai_computes_the_correlation_once(capsys, monkeypatch):
     calls = []
 

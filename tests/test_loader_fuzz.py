@@ -3,8 +3,10 @@
 Each example dumps a small table or spectrum, then truncates it, appends
 bytes, flips payload bits, overwrites one payload entry or lies in the
 header (kind code, limit, X), or leaves it whole.  The test decides on
-its own whether the bytes are still a sound dump (header, size and, for
-von Mangoldt, a payload allclose to the sieve).  A sound dump must load
+its own whether the bytes are still a sound dump (header, size and a
+payload the sieve could have written: for von Mangoldt allclose to the
+sieve, otherwise values in {-1, 0, 1}, or {0, 1} for the square
+indicator, with entry 0 equal to 0).  A sound dump must load
 and give back what the file holds: the header's kind and limit with the
 payload's entries, or for von Mangoldt the sieved table.  Any other dump
 must end in ArgumentError or ResourceError; any other exception, a
@@ -86,7 +88,10 @@ def _table_dump_is_sound(data):
     if len(data) - 16 != width * limit:
         return False
     if kind != "von_mangoldt":
-        return True
+        values = np.frombuffer(data[16:], np.int8)
+        low = 0 if kind == "square_indicator" else -1
+        return bool(((values >= low) & (values <= 1)).all()
+                    and (limit == 0 or values[0] == 0))
     return limit >= 1 and np.allclose(sieve(kind, limit).values,
                                       np.frombuffer(data[16:], "<f8"))
 
@@ -101,6 +106,8 @@ def _table_dump_is_sound(data):
          mutations=[("poke", 5, NAN)])                        # a middle chunk
 @example(kind="von_mangoldt", limit=2000, chunk=64,
          mutations=[("flip", 8 * 8 * 1999)])                  # last mantissa bit of Λ(1999)
+@example(kind="mobius", limit=100, chunk=64,
+         mutations=[("flip", 8 * 30 + 7)])                    # mu(30) = -1 reads as 127
 @example(kind="mobius", limit=500, chunk=64, mutations=[("count", 1 << 40)])
 @example(kind="mobius", limit=500, chunk=64, mutations=[("code", 2)])
 @example(kind="liouville", limit=800, chunk=64, mutations=[("code", 2), ("count", 100)])
@@ -182,4 +189,21 @@ def test_file_that_changes_under_the_loader(tmp_path, kind, lie):
 
     with mock.patch.object(arith.os, "fstat", lying_fstat):
         with pytest.raises(ArgumentError, match="payload bytes"):
+            load_table(str(path))
+
+
+@pytest.mark.parametrize("kind, at, value", [
+    ("mobius", 30, 127),              # bit 7 of mu(30) = -1 flipped
+    ("liouville", 0, 1),              # entry 0
+    ("square_indicator", 17, -1),     # below the indicator's range
+    ("square_indicator", 2 * 64 + 5, 2),  # in a later chunk
+])
+def test_int8_dump_out_of_range_is_corrupt(tmp_path, kind, at, value):
+    path = tmp_path / "t.bin"
+    dump_table(sieve(kind, 300), str(path))
+    data = bytearray(path.read_bytes())
+    data[16 + at] = value & 0xFF
+    path.write_bytes(bytes(data))
+    with mock.patch.object(arith, "_LOAD_CHUNK", 64):
+        with pytest.raises(ArgumentError, match=f"corrupt {kind} dump"):
             load_table(str(path))

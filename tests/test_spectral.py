@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -23,9 +24,12 @@ from mspec import (
     sieve,
     truncated_character,
 )
+from mspec import spectral
 from mspec.errors import ArgumentError, ResourceError
 from mspec.spectral import (
+    SPECTRUM_CAP,
     Spectrum,
+    _digit_kernel,
     _local_coeffs,
     block_pairwise_sum,
     dump_spectrum,
@@ -355,6 +359,46 @@ def test_block_coeffs_match_digit_sum():
             assert np.abs(_local_coeffs(digits, p, e) - ref).max() < 2e-12
 
 
+@pytest.mark.parametrize("p, e", [(2, 1), (5, 1), (257, 1), (2, 16), (3, 9),
+                                  (131, 2), (7, 3), (2, 5)])
+def test_block_coeffs_match_fft_of_char_values(p, e):
+    block = GroupShape([p], [e])
+    rng = np.random.default_rng(p * 100 + e)
+    cases = [[0] * e, [p - 1] * e] + [rng.integers(0, p, e).tolist() for _ in range(4)]
+    for digits in cases:
+        chi = char_values(CharacterIndex.from_digits(digits, block), block)
+        ref = np.fft.fft(chi) / p**e
+        assert np.abs(_local_coeffs(digits, p, e) - ref).max() < 1e-12
+    kernel = _digit_kernel(p, e)
+    assert kernel.shape == (p, p ** (e - 1)) and not kernel.flags.writeable
+    with pytest.raises(ValueError):
+        kernel[0, 0] = 0
+
+
+def test_block_coeffs_memory_at_2_20():
+    """tracemalloc of linf_bound_check on one 2^20 block: the first call
+    peaks at 40 B per entry (kernel 16, coefficients 16, the half-length
+    product or the magnitudes 8), keeps only the 16 B/entry kernel, and
+    a second call adds at most 24 B/entry to it."""
+    s = GroupShape([2], [20])
+    a = CharacterIndex.from_flat(0xB5A3F, s)
+    b, slack = s.X, 64 << 10
+    _digit_kernel.cache_clear()
+    tracemalloc.start()
+    try:
+        linf_bound_check(a, s)
+        held, first = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        linf_bound_check(a, s)
+        _, second = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        _digit_kernel.cache_clear()
+    assert first <= 40 * b + slack
+    assert held <= 16 * b + slack
+    assert second - held <= 24 * b + slack
+
+
 def test_l1_examples():
     s = GroupShape([2], [2])
     zero = CharacterIndex.from_digits([0, 0], s)
@@ -418,6 +462,28 @@ def test_interval_sum():
     assert abs(r["reference"] - math.sqrt(3 * 35)) < 1e-12
     with pytest.raises(ArgumentError):
         interval_l1_sum(a, s, 10, 5)
+
+
+def _no_block_coeffs(*args):
+    raise AssertionError("computed block coefficients past the cap")
+
+
+def test_interval_sum_refuses_over_the_cap(monkeypatch):
+    s = GroupShape([2, 3], [20, 12])
+    a = CharacterIndex.from_flat(5, s)
+    monkeypatch.setattr(spectral, "_local_coeffs", _no_block_coeffs)
+    with pytest.raises(ResourceError, match=f"interval length {s.X} exceeds the cap {SPECTRUM_CAP}"):
+        interval_l1_sum(a, s, 0, s.X)
+    with pytest.raises(ResourceError, match="exceeds the cap"):
+        interval_l1_sum(a, s, 7, 8 + SPECTRUM_CAP)
+
+
+def test_truncated_character_refuses_over_the_cap(monkeypatch):
+    s = GroupShape([2, 3], [20, 12])
+    a = CharacterIndex.from_flat(5, s)
+    monkeypatch.setattr(spectral, "_local_coeffs", _no_block_coeffs)
+    with pytest.raises(ResourceError, match=f"X = {s.X} exceeds the truncated-character cap"):
+        truncated_character(a, s, [4, 4])
 
 
 def test_truncated_character():
