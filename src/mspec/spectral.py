@@ -27,6 +27,8 @@ from __future__ import annotations
 import itertools
 import math
 import struct
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -222,20 +224,63 @@ def gq(q: int, y: float) -> float:
     return sign
 
 
-@lru_cache(maxsize=16)
-def _digit_kernel(p: int, e: int) -> np.ndarray:
+def _build_kernel(p: int, e: int) -> np.ndarray:
     """D(u) = (1/p) sum_{t<p} e(t u / p^e) for u < p^e, as a read-only
     (p, p^(e-1)) array whose row s holds u = v + p^(e-1) s.
 
-    Splitting e(t u / p^e) = e(t v / p^e) e(t s / p) makes the kernel one
-    gemm of the (p, p) DFT matrix against the terms e(t v / p^e), whose
-    exponents t v < p^e are exact.  The cache holds up to 16 kernels of
-    16 B per block entry each.
+    In closed form D(u) = e((p-1) u / 2b) sin(pi p u / b) / (p sin(pi u / b))
+    with b = p^e and D(0) = 1.  With u = v + m s, m = p^(e-1), the
+    numerator splits into e(-s / 2p) over the rows and
+    e((p-1) v / 2b) sin(pi v / m) over the columns; only the denominator
+    sin(pi u / b) is b long, and it is evaluated for u <= b/2 and mirrored.
+    Every angle is at most pi and every sine is taken at min(x, pi - x),
+    so the kernel keeps full precision next to its poles at any p.
     """
-    m = p ** (e - 1)
-    omega = roots_of_unity(p)[np.outer(np.arange(p), np.arange(p)) % p] / p
-    kernel = omega @ np.exp((2j * np.pi / (p * m)) * np.outer(np.arange(p), np.arange(m)))
+    b = p**e
+    m = b // p
+    h = b // 2
+    v = np.arange(m, dtype=np.float64)
+    amp = np.sin((np.pi / m) * np.minimum(v, m - v)) / p
+    v *= np.pi * (p - 1) / b
+    cols = np.empty(m, dtype=np.complex128)
+    np.multiply(np.cos(v), amp, out=cols.real)
+    np.multiply(np.sin(v), amp, out=cols.imag)
+    del v, amp
+    den = np.arange(b, dtype=np.float64)
+    den[: h + 1] *= np.pi / b
+    np.sin(den[: h + 1], out=den[: h + 1])
+    den[h + 1 :] = den[b - h - 1 : 0 : -1]
+    den[0] = 1.0
+    kernel = np.multiply.outer(np.exp((-1j * np.pi / p) * np.arange(p)), cols)
+    kernel /= den.reshape(p, m)
+    kernel[0, 0] = 1.0
     kernel.setflags(write=False)
+    return kernel
+
+
+# kernels kept for reuse, least recently used first, while they total at
+# most _KERNEL_CACHE_BYTES (the 2^20 kernel is 16 MiB).  Each bound
+# function reads a block's kernel once per call, so the cache pays only
+# across calls; a larger kernel is built on every call and not kept.
+_KERNEL_CACHE_BYTES = 32 << 20
+_kernels: OrderedDict[tuple[int, int], np.ndarray] = OrderedDict()
+_kernels_lock = threading.Lock()
+
+
+def _digit_kernel(p: int, e: int) -> np.ndarray:
+    """_build_kernel(p, e), from the cache when it is there."""
+    key = (p, e)
+    with _kernels_lock:
+        if key in _kernels:
+            _kernels.move_to_end(key)
+            return _kernels[key]
+    kernel = _build_kernel(p, e)
+    if kernel.nbytes <= _KERNEL_CACHE_BYTES:
+        with _kernels_lock:
+            _kernels[key] = kernel
+            held = sum(k.nbytes for k in _kernels.values())
+            while held > _KERNEL_CACHE_BYTES:
+                held -= _kernels.popitem(last=False)[1].nbytes
     return kernel
 
 

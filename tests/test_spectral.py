@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from collections import OrderedDict
 from fractions import Fraction
 
 import numpy as np
@@ -359,8 +360,8 @@ def test_block_coeffs_match_digit_sum():
             assert np.abs(_local_coeffs(digits, p, e) - ref).max() < 2e-12
 
 
-@pytest.mark.parametrize("p, e", [(2, 1), (5, 1), (257, 1), (2, 16), (3, 9),
-                                  (131, 2), (7, 3), (2, 5)])
+@pytest.mark.parametrize("p, e", [(2, 1), (5, 1), (257, 1), (4099, 1), (2, 16), (3, 9),
+                                  (131, 2), (1009, 2), (7, 3), (2, 5)])
 def test_block_coeffs_match_fft_of_char_values(p, e):
     block = GroupShape([p], [e])
     rng = np.random.default_rng(p * 100 + e)
@@ -383,7 +384,7 @@ def test_block_coeffs_memory_at_2_20():
     s = GroupShape([2], [20])
     a = CharacterIndex.from_flat(0xB5A3F, s)
     b, slack = s.X, 64 << 10
-    _digit_kernel.cache_clear()
+    spectral._kernels.clear()
     tracemalloc.start()
     try:
         linf_bound_check(a, s)
@@ -393,10 +394,46 @@ def test_block_coeffs_memory_at_2_20():
         _, second = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-        _digit_kernel.cache_clear()
+        spectral._kernels.clear()
     assert first <= 40 * b + slack
     assert held <= 16 * b + slack
     assert second - held <= 24 * b + slack
+
+
+def test_kernel_cache_is_bounded_in_bytes(monkeypatch):
+    """Kernels are kept least recently used first out while they total at
+    most _KERNEL_CACHE_BYTES; one larger than that is never kept."""
+    monkeypatch.setattr(spectral, "_kernels", OrderedDict())
+    monkeypatch.setattr(spectral, "_KERNEL_CACHE_BYTES", 16 << 10)
+    held = spectral._kernels
+    k8 = _digit_kernel(2, 8)
+    _digit_kernel(3, 5)
+    _digit_kernel(2, 9)
+    assert list(held) == [(2, 8), (3, 5), (2, 9)]
+    assert _digit_kernel(2, 8) is k8
+    _digit_kernel(5, 4)
+    assert list(held) == [(2, 8), (5, 4)]
+    big = _digit_kernel(2, 11)
+    assert big.nbytes > 16 << 10 and list(held) == [(2, 8), (5, 4)]
+    assert _digit_kernel(2, 11) is not big
+    assert sum(k.nbytes for k in held.values()) <= 16 << 10
+
+
+@pytest.mark.parametrize("p, e", [(4099, 1), (1009, 2), (1000003, 1)])
+def test_large_prime_block_costs_linear_memory(p, e):
+    """A block of one large prime builds its kernel in O(p^e): the first
+    linf_bound_check peaks at 40 B per entry, as for p = 2."""
+    s = GroupShape([p], [e])
+    a = CharacterIndex.from_digits([p - 2] * e, s)
+    spectral._kernels.clear()
+    tracemalloc.start()
+    try:
+        linf_bound_check(a, s)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        spectral._kernels.clear()
+    assert peak <= 40 * s.X + (64 << 10)
 
 
 def test_l1_examples():
