@@ -15,11 +15,12 @@ the same rotation; there the FFT is the cheaper of the two.
 The additive-Fourier coefficients of a digital character factor through
 the CRT into one table per block, and within a block into one
 Dirichlet-kernel factor per digit.  Every digit of a p^d block reads its
-factor from one cached kernel table per (p, d), so a block's
-coefficients cost a product of shifted kernel rows and no transform;
-those block coefficients drive the norm-bound checkers and the
-frequency-truncated characters.  The same per-digit kernel in closed
-form, gq, gives single coefficients.
+factor from one kernel table per (p, d), built in closed form in
+O(p^d) and kept in a cache bounded in bytes, so a block's coefficients
+cost a product of shifted kernel rows and no transform; those block
+coefficients drive the norm-bound checkers and the frequency-truncated
+characters.  The same per-digit kernel in closed form, gq, gives
+single coefficients.
 """
 
 from __future__ import annotations

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 import tracemalloc
 from collections import OrderedDict
 from fractions import Fraction
@@ -417,6 +419,41 @@ def test_kernel_cache_is_bounded_in_bytes(monkeypatch):
     assert big.nbytes > 16 << 10 and list(held) == [(2, 8), (5, 4)]
     assert _digit_kernel(2, 11) is not big
     assert sum(k.nbytes for k in held.values()) <= 16 << 10
+
+
+def test_kernel_cache_under_threads(monkeypatch):
+    """Eight threads share the cache under a budget of about two kernels:
+    every kernel handed out is right, no thread raises, and the cache
+    ends within its budget."""
+    monkeypatch.setattr(spectral, "_kernels", OrderedDict())
+    monkeypatch.setattr(spectral, "_KERNEL_CACHE_BYTES", 20 << 10)
+    keys = [(2, 9), (3, 6), (5, 4), (7, 3), (2, 7)]
+    refs = {key: spectral._build_kernel(*key) for key in keys}
+    errors = []
+
+    def worker(seed):
+        rng = np.random.default_rng(seed)
+        try:
+            for _ in range(300):
+                key = keys[rng.integers(len(keys))]
+                if not np.array_equal(_digit_kernel(*key), refs[key]):
+                    errors.append(f"wrong kernel for {key}")
+        except Exception as exc:  # reported through errors, checked below
+            errors.append(repr(exc))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert sum(k.nbytes for k in spectral._kernels.values()) <= 20 << 10
 
 
 @pytest.mark.parametrize("p, e", [(4099, 1), (1009, 2), (1000003, 1)])
