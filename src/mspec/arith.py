@@ -1,16 +1,19 @@
 """Sieve construction of the arithmetic functions used throughout.
 
 Tables are dense over [0, X) with the convention that index 0 carries
-value 0 for every kind.  All sieves run segmented (segment size 2**22)
-so results are identical regardless of table size.
+value 0 for every kind.  All sieves run segmented (segment size 2**19)
+so results are identical regardless of table size, and each segment's
+scratch rows are allocated once per call and stay in cache.
 
 The Möbius and Liouville kernel works on strided slices ``[start::q]``
-of two dense buffers, one slice per root prime power q, with no index
-arrays and no integer division: an int8 sign and a product of the
-root-prime part of each entry, uint32 up to 2**32 entries and int64
-above.  One comparison of that product against the entry then accounts
-for the single prime factor above the square root that an entry can
-have.
+of one signed accumulator, one slice per root prime power q, with no
+index arrays, no integer division and no masked ufunc: each slice is
+multiplied by -p, so the accumulator holds the root-prime part of each
+entry with the sign (-1)^(its prime factor count).  One comparison of
+its absolute value against the entry then accounts for the single prime
+factor above the square root that an entry can have.  The accumulator
+and the von Mangoldt ``pp_prime`` share one width rule: int32 up to
+2**31 entries and int64 above, since neither exceeds its entry.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import numpy as np
 
 from .errors import ArgumentError, ResourceError
 
-SEGMENT_SIZE = 1 << 22
+SEGMENT_SIZE = 1 << 19
 DEFAULT_MEM_CAP = 1 << 31
 
 KINDS = ("mobius", "liouville", "von_mangoldt", "square_indicator")
@@ -92,6 +95,8 @@ class ArithmeticTable:
 
     For von_mangoldt the (prime, exponent) pair arrays give the exact
     prime-power identity; ``values`` then holds log(p) as a double.
+    ``pp_prime`` is int32 up to 2**31 entries and int64 above, ``pp_exp``
+    uint8, so the table costs 13 B/entry; both are 0 off the prime powers.
     """
 
     kind: str
@@ -107,63 +112,80 @@ class ArithmeticTable:
             self.pp_exp.setflags(write=False)
 
 
+def _word(limit: int):
+    """Integer type of the sieve's per-entry words: every word is at most
+    its entry, which is below limit."""
+    return np.int32 if limit <= 1 << 31 else np.int64
+
+
 def _sieve_mobius_liouville(kind: str, limit: int, segment_size: int) -> np.ndarray:
-    # Each segment [lo, hi) is sieved on strided views only.  For every
-    # root prime p and power q = p^k < hi, the view of multiples of q
-    # (from q on) gets prod *= p and one sign flip, so afterwards prod is
-    # the part of n built from primes <= sqrt(limit - 1) and sign is
-    # (-1)^(its prime factor count); for mobius a view with k >= 2 is
-    # zeroed instead and higher powers are skipped.  n / prod is then 1
-    # or a single prime above the root, so prod < n flips the sign once
-    # more.
+    # Each segment [lo, hi) is sieved on strided views of one signed
+    # accumulator.  For every root prime p and power q = p^k < hi, the
+    # view of multiples of q (from q on) is multiplied by -p, so
+    # afterwards |acc| is the part of n built from primes <= sqrt(limit - 1)
+    # and its sign is (-1)^(its prime factor count); for mobius a view with
+    # k >= 2 is zeroed instead and higher powers are skipped.  n / |acc| is
+    # then 1 or a single prime above the root, so |acc| < n flips the sign
+    # once more.  The three rows are allocated once and reused by every
+    # segment, which keeps a segment in cache.
     values = np.empty(limit, dtype=np.int8)
     root_primes = [int(p) for p in primes_up_to(math.isqrt(max(limit - 1, 0)))]
-    # prod never exceeds its entry, which is below limit
-    word = np.uint32 if limit <= 1 << 32 else np.int64
+    width = min(segment_size, limit)
+    acc = np.empty(width, dtype=_word(limit))
+    entry = np.arange(width, dtype=acc.dtype)
+    flip = np.empty(width, dtype=np.int8)
     for lo in range(0, limit, segment_size):
         hi = min(lo + segment_size, limit)
         n = hi - lo
-        sign = values[lo:hi]
-        sign.fill(1)
-        prod = np.ones(n, dtype=word)
+        seg = acc[:n]
+        seg.fill(1)
         for p in root_primes:
             q = p
             while q < hi:
-                view = slice(max(lo + (-lo) % q, q) - lo, n, q)
+                view = seg[max(lo + (-lo) % q, q) - lo :: q]
                 if kind == "mobius" and q > p:
-                    sign[view] = 0
+                    view.fill(0)
                     break
-                prod[view] *= p
-                np.negative(sign[view], out=sign[view])
+                np.multiply(view, -p, out=view)
                 q *= p
-        big = prod < np.arange(lo, hi, dtype=word)
-        np.negative(sign, out=sign, where=big)
+        sign = values[lo:hi]
+        np.sign(seg, out=sign)
+        np.abs(seg, out=seg)
+        # only the last segment is shorter, so entry[:n] holds lo .. hi - 1
+        here = entry[:n]
+        if lo:
+            here += segment_size
+        big = flip[:n]
+        np.less(seg, here, out=big)
+        big *= -2
+        big += 1
+        sign *= big
     values[0] = 0
     return values
 
 
 def _sieve_von_mangoldt(limit: int, segment_size: int):
     values = np.zeros(limit, dtype=np.float64)
-    pp_prime = np.zeros(limit, dtype=np.int64)
+    pp_prime = np.zeros(limit, dtype=_word(limit))
     pp_exp = np.zeros(limit, dtype=np.uint8)
-    root_primes = primes_up_to(math.isqrt(max(limit - 1, 0)))
+    root_primes = [int(p) for p in primes_up_to(math.isqrt(max(limit - 1, 0)))]
+    composite = np.empty(min(segment_size, limit), dtype=bool)
     for lo in range(0, limit, segment_size):
         hi = min(lo + segment_size, limit)
-        composite = np.zeros(hi - lo, dtype=bool)
+        seg = composite[: hi - lo]
+        seg.fill(False)
+        seg[: max(0, 2 - lo)] = True  # 0 and 1 are not primes
         for p in root_primes:
-            p = int(p)
             start = max(lo + (-lo) % p, p * p)
             if start < hi:
-                composite[start - lo : hi - lo : p] = True
-        prime_mask = ~composite
-        prime_mask[: max(0, 2 - lo)] = False
-        primes_here = np.flatnonzero(prime_mask) + lo
+                seg[start - lo :: p] = True
+        np.logical_not(seg, out=seg)  # now the primes of the segment
+        primes_here = np.flatnonzero(seg) + lo
         values[primes_here] = np.log(primes_here)
         pp_prime[primes_here] = primes_here
         pp_exp[primes_here] = 1
     # proper prime powers p^k, k >= 2
     for p in root_primes:
-        p = int(p)
         q = p * p
         k = 2
         while q < limit:
@@ -192,6 +214,8 @@ def sieve(kind: str, limit: int, segment_size: int = SEGMENT_SIZE,
     cap = memory_cap() if mem_cap is None else mem_cap
     if limit < 1:
         raise ArgumentError(f"limit must be >= 1, got {limit}")
+    if segment_size < 1:
+        raise ArgumentError(f"segment_size must be >= 1, got {segment_size}")
     if limit > cap:
         raise ResourceError(f"limit {limit} exceeds memory cap {cap} entries")
     if kind in ("mobius", "liouville"):

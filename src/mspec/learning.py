@@ -8,15 +8,12 @@ spectrum.
 
 from __future__ import annotations
 
-import json
 import math
 import os
-import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import __version__
 from .arith import primes_up_to, sieve
 from .errors import ArgumentError, ResourceError
 from .group import GroupShape, char_values, CharacterIndex, flatten_digits
@@ -601,19 +598,3 @@ def sample_binary_multiplicative(X: int, seed: int = 0) -> np.ndarray:
             h[q::q] *= -1
             q *= p
     return h
-
-
-# -- experiment log -------------------------------------------------------
-
-
-def append_experiment_log(path: str, config: dict, result: dict) -> None:
-    """One JSON line per run, with version and timing fields."""
-    record = {
-        "version": __version__,
-        "timestamp": time.time(),
-        "config": config,
-        "result": {k: v for k, v in result.items()
-                   if isinstance(v, (int, float, bool, str, list, dict))},
-    }
-    with open(path, "a") as fh:
-        fh.write(json.dumps(record) + "\n")

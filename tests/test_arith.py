@@ -8,7 +8,7 @@ from fractions import Fraction
 from hypothesis import example, given, settings, strategies as st
 
 from mspec import sieve, nu_p_weight, dump_table, load_table
-from mspec.arith import SEGMENT_SIZE, memory_cap, primes_up_to, is_prime
+from mspec.arith import SEGMENT_SIZE, _word, memory_cap, primes_up_to, is_prime
 from mspec.errors import ArgumentError, ResourceError
 
 from conftest import brute_force_factor
@@ -144,6 +144,13 @@ def test_sieve_errors():
         sieve("mobius", 100, mem_cap=10)
 
 
+@pytest.mark.parametrize("kind", ["mobius", "von_mangoldt"])
+@pytest.mark.parametrize("segment_size", [0, -5])
+def test_sieve_refuses_segment_size_below_1(kind, segment_size):
+    with pytest.raises(ArgumentError, match="segment_size"):
+        sieve(kind, 20, segment_size=segment_size)
+
+
 def test_memory_cap_env(monkeypatch):
     monkeypatch.setenv("MSPC_MEM_CAP", "123")
     assert memory_cap() == 123
@@ -255,3 +262,30 @@ def test_von_mangoldt_sieve_and_load_peaks(tmp_path):
     loaded, load_peak = _traced_peak(lambda: load_table(path))
     assert loaded.limit == limit
     assert load_peak <= sieve_peak + (1 << 19)
+
+
+def test_sieve_peaks_per_entry():
+    """One reused signed accumulator per segment keeps the Möbius and
+    Liouville sieves near their 1 B/entry output (10 B/entry with an int8
+    sign and a full-segment product); von Mangoldt holds its 13 B/entry
+    table plus one segment of scratch."""
+    limit = 4 * 10**6
+    for kind, bound in (("mobius", 3), ("liouville", 3), ("von_mangoldt", 14.5)):
+        _, peak = _traced_peak(lambda: sieve(kind, limit))
+        assert peak <= bound * limit, (kind, peak / limit)
+
+
+def test_prime_power_pairs_independent_of_segment_size():
+    limit = 547**2 + 1
+    ref = sieve("von_mangoldt", limit, segment_size=limit)
+    for segment_size in (7**3, 4099, 1 << 16, SEGMENT_SIZE):
+        t = sieve("von_mangoldt", limit, segment_size=segment_size)
+        assert np.array_equal(t.values, ref.values)
+        assert np.array_equal(t.pp_prime, ref.pp_prime)
+        assert np.array_equal(t.pp_exp, ref.pp_exp)
+
+
+def test_pp_prime_width():
+    assert sieve("von_mangoldt", 1000).pp_prime.dtype == np.int32
+    assert _word(1 << 31) == np.int32
+    assert _word((1 << 31) + 1) == np.int64

@@ -29,7 +29,6 @@ from mspec.learning import (
     _batch_factors,
     _group_factors,
     _low_digits,
-    append_experiment_log,
     covariance_matrix,
     eigenvector_indicator,
     embed_inputs,
@@ -433,18 +432,6 @@ def test_sample_mean_approximates_squares():
         squares[r * r] = 1.0
         r += 1
     assert np.max(np.abs(acc[1:] - squares[1:])) <= 4.0 / math.sqrt(trials)
-
-
-def test_experiment_log(tmp_path):
-    path = str(tmp_path / "log.jsonl")
-    append_experiment_log(path, {"shape": "2^5"}, {"success_rate": 0.5})
-    append_experiment_log(path, {"shape": "2^6"}, {"success_rate": 0.25})
-    import json
-
-    with open(path) as fh:
-        lines = [json.loads(line) for line in fh]
-    assert len(lines) == 2
-    assert all("version" in rec and "timestamp" in rec for rec in lines)
 
 
 # -- row-major reference step ----------------------------------------------

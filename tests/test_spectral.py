@@ -582,6 +582,39 @@ def test_truncated_character_trivial():
     assert np.max(np.abs(vals - 1.0)) < 1e-12 and err < 1e-12
 
 
+@pytest.mark.parametrize("primes,exponents", [([3], [6]), ([2, 131], [3, 1]),
+                                               ([2, 3, 5, 7], [2, 2, 1, 1])])
+def test_truncation_error_matches_direct_mean(primes, exponents):
+    """The per-block error sum equals mean |values - chi_a|^2 taken over the
+    whole group, and is exactly 0 when no block is truncated."""
+    s = GroupShape(primes, exponents)
+    rng = np.random.default_rng(3)
+    for _ in range(12):
+        a = CharacterIndex.from_flat(int(rng.integers(s.X)), s)
+        cutoffs = [int(rng.integers(1, b // 2 + 3)) for b in s.block_sizes]
+        vals, _, err = truncated_character(a, s, cutoffs)
+        direct = float(np.mean(np.abs(vals - char_values(a, s)) ** 2))
+        assert abs(err - direct) <= 1e-12
+    _, _, err = truncated_character(a, s, [b // 2 for b in s.block_sizes])
+    assert err == 0.0
+
+
+def test_truncated_character_holds_only_its_values():
+    """Only the returned values are X-long: 16 B/X plus block-sized
+    scratch.  Reading each block over the group and subtracting chi_a
+    there peaked at 64 B/X on this shape."""
+    s = GroupShape([2, 3, 5, 7], [4, 3, 2, 2])
+    a = CharacterIndex.from_flat(12345, s)
+    truncated_character(a, s, [2, 2, 2, 2])  # fill the kernel cache
+    tracemalloc.start()
+    try:
+        truncated_character(a, s, [2, 2, 2, 2])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 17 * s.X
+
+
 # -- witness search -------------------------------------------------------
 
 
