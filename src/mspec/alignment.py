@@ -186,6 +186,14 @@ def _power_iteration(gram: np.ndarray, tol: float = 1e-10, cap: int = 10**4) -> 
     return lam
 
 
+def _over_tau_squared(x: float, tau: float) -> float:
+    """x / tau^2 for tau > 0, also where tau^2 underflows to 0 or overflows."""
+    try:
+        return x / tau**2
+    except (ZeroDivisionError, OverflowError):
+        return x / tau / tau
+
+
 def learning_bounds(A: float, params: dict) -> dict:
     """Sample floor and failure-probability ceilings implied by an
     alignment value A.
@@ -210,7 +218,7 @@ def learning_bounds(A: float, params: dict) -> dict:
         out["ngd_raw"] = raw
         out["ngd_fail_prob"] = min(max(raw, 0.0), 1.0)
     if tau is not None and "q" in params:
-        raw = (params["q"] + 1) / tau**2 * A
+        raw = _over_tau_squared(params["q"] + 1, tau) * A if A > 0 else 0.0
         out["csq_raw"] = raw
         out["csq_fail_prob"] = min(max(raw, 0.0), 1.0)
     return out

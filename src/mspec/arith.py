@@ -247,21 +247,22 @@ def dump_table(table: ArithmeticTable, path: str) -> None:
         fh.write(np.ascontiguousarray(table.values, dtype=dtype).data)
 
 
-def payload_chunks(fh, count: int, dtype, chunk: int, what: str, says: str):
+def payload_chunks(fh, count: int, dtype, chunk: int):
     """Check that the rest of the open dump ``fh`` holds exactly ``count``
     entries of ``dtype``, by the file's byte count and before anything is
     allocated; then return an iterator of (start, entries) over them, read
     ``chunk`` entries at a time into one buffer that each step reuses.
 
     A wrong size, a short read or bytes past the payload raise
-    ArgumentError saying "<what> dump holds N payload bytes; its header
-    says <says>"."""
+    ArgumentError saying "table dump holds N payload bytes; its header
+    says C entries of W bytes"."""
     dtype = np.dtype(dtype)
     size = count * dtype.itemsize
 
     def wrong_size(held):
         held = f"more than {size}" if held > size else str(held)
-        return ArgumentError(f"{what} dump holds {held} payload bytes; its header says {says}")
+        return ArgumentError(f"table dump holds {held} payload bytes; its header says "
+                             f"{count} entries of {dtype.itemsize} bytes")
 
     held = os.fstat(fh.fileno()).st_size - fh.tell()
     if held != size:
@@ -299,8 +300,7 @@ def load_table(path: str) -> ArithmeticTable:
             raise ResourceError(f"table dump header says {limit} entries; "
                                 f"memory cap is {cap} entries")
         dtype = np.dtype("<f8" if kind == "von_mangoldt" else np.int8)
-        chunks = payload_chunks(fh, limit, dtype, _LOAD_CHUNK, "table",
-                                f"{limit} entries of {dtype.itemsize} bytes")
+        chunks = payload_chunks(fh, limit, dtype, _LOAD_CHUNK)
         if kind == "von_mangoldt":
             # pairs are reconstructed rather than stored
             rebuilt = sieve(kind, limit)

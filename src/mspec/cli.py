@@ -1,9 +1,9 @@
 """Command-line front end.
 
-Every subcommand emits one JSON run record (stdout or --out); sieve,
-spectrum, covariance and decay-table can also write numeric CSV plot data
-via --plot-data.  Exit codes: 0 success, 2 argument error or unwritable
-output path, 3 resource error.
+Every subcommand emits one strict JSON run record (stdout or --out), a
+non-finite float written as null; sieve, spectrum, covariance and
+decay-table can also write CSV plot data via --plot-data.  Exit codes: 0
+success, 2 argument error or unwritable output path, 3 resource error.
 """
 
 from __future__ import annotations
@@ -63,6 +63,17 @@ _FUNCTION_ALIASES = {
     "square-indicator": "square_indicator",
     "square_indicator": "square_indicator",
 }
+
+
+def _strict(value):
+    """The record with every non-finite float as None: strict JSON's null."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: _strict(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict(v) for v in value]
+    return value
 
 
 def _cnum(z) -> dict:
@@ -466,7 +477,7 @@ def run_command(argv) -> int:
             "version": __version__,
             "wall_time": wall,
         }
-        payload = json.dumps(record, indent=2, sort_keys=True)
+        payload = json.dumps(_strict(record), indent=2, sort_keys=True, allow_nan=False)
         if args.out:
             with open(args.out, "w") as fh:
                 fh.write(payload + "\n")

@@ -125,16 +125,10 @@ class GroupShape:
         flat = flatten_digits(blocks)
         if len(flat) != self.d:
             raise ArgumentError(f"expected {self.d} digits, got {len(flat)}")
-        x = 0
-        for i, (p, b) in enumerate(zip(self.primes, self.block_sizes)):
-            digits = flat[self.block_slices[i]]
-            if any(not 0 <= t < p for t in digits):
-                raise ArgumentError(f"digit out of range for prime {p}: {digits}")
-            xi = 0
-            for t in reversed(digits):
-                xi = xi * p + int(t)
-            x += xi * (self.X // b) * self.crt_inverses[i]
-        return x % self.X
+        for p, s in zip(self.primes, self.block_slices):
+            if any(not 0 <= t < p for t in flat[s]):
+                raise ArgumentError(f"digit out of range for prime {p}: {flat[s]}")
+        return sum(t * int(w) for t, w in zip(flat, self._decode_weights())) % self.X
 
     def digit(self, j: int, indices):
         """Digit j of flat character-layout indices (an int or an int64

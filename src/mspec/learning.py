@@ -18,7 +18,7 @@ from .arith import primes_up_to, sieve
 from .errors import ArgumentError, ResourceError
 from .group import GroupShape, char_values, CharacterIndex, flatten_digits
 from .spectral import group_spectrum
-from .alignment import alignment_full_group, learning_bounds
+from .alignment import _over_tau_squared, alignment_full_group, learning_bounds
 
 NGD_X_CAP = 1 << 20
 COVARIANCE_EXPLICIT_CAP = 2000
@@ -315,7 +315,6 @@ class NgdConfig:
     tau: float = 0.05
     seed: object = 0
     eps: float = 0.01
-    baseline: np.ndarray | None = None  # h_*, default the zero table
 
     def __post_init__(self):
         if not all(map(math.isfinite, (self.eta, self.R, self.tau, self.eps))):
@@ -324,14 +323,14 @@ class NgdConfig:
             raise ArgumentError("need T >= 0, R > 0, tau >= 0, eps > 0")
 
 
-def _ngd_target(target, shape: GroupShape, cfg: NgdConfig):
-    """(target, baseline h_*) as arrays; refused above NGD_X_CAP or unless of length X."""
+def _ngd_target(target, shape: GroupShape):
+    """The target as an array; refused above NGD_X_CAP or unless of length X."""
     if shape.X > NGD_X_CAP:
         raise ResourceError(f"X = {shape.X} exceeds the exact-gradient cap {NGD_X_CAP}")
     h = np.asarray(target, dtype=np.float64)
     if h.shape[0] != shape.X:
         raise ArgumentError(f"target length {h.shape[0]} != X = {shape.X}")
-    return h, cfg.baseline if cfg.baseline is not None else np.zeros(shape.X)
+    return h
 
 
 def ngd_train(model: MlpModel, target, shape: GroupShape, cfg: NgdConfig) -> dict:
@@ -342,8 +341,8 @@ def ngd_train(model: MlpModel, target, shape: GroupShape, cfg: NgdConfig) -> dic
     factors of _group_factors, so the target is permuted into that order
     once per call.  Losses and gradients are means over the group, which
     do not depend on the order."""
-    h, baseline = _ngd_target(target, shape, cfg)
-    baseline_loss = float(np.mean((baseline - h) ** 2))
+    h = _ngd_target(target, shape)
+    baseline_loss = float(np.mean(h**2))  # the loss of the zero predictor
     factors, order = _group_factors(shape)
     if order is not None:
         h = h[order]
@@ -399,7 +398,7 @@ def ngd_experiment(target, shape: GroupShape, cfg: NgdConfig, trials: int,
         raise ArgumentError(f"trials must be >= 1, got {trials}")
     if cfg.tau <= 0:
         raise ArgumentError("tau must be > 0 for the bound comparison")
-    h, baseline = _ngd_target(target, shape, cfg)
+    h = _ngd_target(target, shape)
     entropy, threads = _seed_entropy(cfg.seed), min(2, _usable_cpus(), trials)
 
     def trial(t):
@@ -413,7 +412,7 @@ def ngd_experiment(target, shape: GroupShape, cfg: NgdConfig, trials: int,
         pool.shutdown(cancel_futures=True)
     final_losses = [result["final_loss"] for result in results]
     rate = sum(bool(result["success"]) for result in results) / trials
-    A = alignment_full_group(group_spectrum(h - baseline, shape)).value
+    A = alignment_full_group(group_spectrum(h, shape)).value
     bounds = learning_bounds(A, {"eps": cfg.eps, "tau": cfg.tau,
                                  "R": cfg.R, "T": cfg.T})
     return {
@@ -439,7 +438,6 @@ def _seed_entropy(seed) -> int:
 
 @dataclass
 class CsqTranscript:
-    queries: list = field(default_factory=list)
     responses: list = field(default_factory=list)
     deviations: list = field(default_factory=list)
     output: np.ndarray | None = None
@@ -450,14 +448,10 @@ class FixedFeatureStrategy:
     """Non-adaptive strategy: queries the real/imaginary parts of a fixed
     list of characters, then outputs the clipped response-weighted sum."""
 
-    def __init__(self, shape: GroupShape, q: int, flat_indices=None):
+    def __init__(self, shape: GroupShape, q: int):
         self.shape = shape
-        if flat_indices is None:
-            flat_indices = range(1, q + 1)
         self.features = []
-        for idx in flat_indices:
-            if len(self.features) >= q:
-                break
+        for idx in range(1, (q + 1) // 2 + 1):
             chi = char_values(CharacterIndex.from_flat(idx % shape.X, shape), shape)
             self.features += [np.real(chi), np.imag(chi)][:q - len(self.features)]
 
@@ -499,7 +493,6 @@ def csq_adversarial_game(learner, target, null_target, tau: float,
         else:
             resp = u - tau if u > v else u + tau
             deviated = True
-        transcript.queries.append(phi)
         transcript.responses.append(resp)
         transcript.deviations.append(deviated)
     transcript.bad_event = any(transcript.deviations)
@@ -526,7 +519,7 @@ def csq_bad_event_rate(orbit_target, shape: GroupShape, learner_factory,
         bad += transcript.bad_event
     rate = bad / samples
     A = alignment_full_group(group_spectrum(base, shape)).value
-    bound = q * A / tau**2
+    bound = _over_tau_squared(q * A, tau)
     sigma = math.sqrt(max(rate * (1.0 - rate), 1.0 / samples) / samples)
     return {"empirical_rate": rate, "bound": bound, "sigma": sigma,
             "samples": samples, "alignment": A}

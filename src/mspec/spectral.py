@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import struct
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -36,20 +35,19 @@ from functools import lru_cache
 
 import numpy as np
 
-from .arith import ArithmeticTable, payload_chunks
+from .arith import ArithmeticTable
 from .errors import ArgumentError, ResourceError
 from .group import CharacterIndex, GroupShape, char_values, roots_of_unity
 
+# in entries: the X of a full spectrum or truncated character, one CRT
+# block, one interval
 SPECTRUM_CAP = 1 << 26
-BLOCK_CAP = 1 << 26
 SUM_BLOCK = 4096
 # k digits of a prime p form one gemm run while p^k <= _RUN_BOUND; a
 # single digit is one up to p = _GEMM_PRIME_BOUND, above which numpy's FFT
 # is the cheaper transform
 _RUN_BOUND = 32
 _GEMM_PRIME_BOUND = 128
-
-_SPECTRUM_MAGIC = b"MSPS"
 
 
 def _as_values(table, X: int) -> np.ndarray:
@@ -107,9 +105,6 @@ class Spectrum:
 
     def __post_init__(self):
         self.coeffs.setflags(write=False)
-
-    def __getitem__(self, flat_index: int) -> complex:
-        return complex(self.coeffs[flat_index])
 
 
 @lru_cache(maxsize=64)
@@ -298,8 +293,8 @@ def _local_coeffs(a_digits, p: int, e: int) -> np.ndarray:
     on kappa mod n/p = v only, so it broadcasts along s.
     """
     b = p**e
-    if b > BLOCK_CAP:
-        raise ResourceError(f"block size {b} exceeds cap {BLOCK_CAP}")
+    if b > SPECTRUM_CAP:
+        raise ResourceError(f"block size {b} exceeds cap {SPECTRUM_CAP}")
     flat = _digit_kernel(p, e).reshape(-1)
     coeffs = np.ones(1, dtype=np.complex128)
     n = 1
@@ -558,7 +553,8 @@ def katai_witness(table, a: CharacterIndex, shape: GroupShape,
         raise ArgumentError("the trivial character has no additive witness")
     p_r = shape.primes[-1]
     bound = (delta / (10.0 * weight * math.sqrt(p_r))) ** (4 * weight)
-    numerator_cap = int((40 * p_r) ** 2 * weight**3 / delta**3)
+    # exact: in floats a tiny delta overflows the quotient or underflows delta**3
+    numerator_cap = math.floor((40 * p_r) ** 2 * weight**3 / Fraction(delta) ** 3)
 
     support = []
     for i in range(shape.r):
@@ -661,24 +657,3 @@ def dump_spectrum_csv(spec: Spectrum, path: str) -> None:
         fh.write("flat_index,re,im,magnitude\n")
         for idx, c in enumerate(spec.coeffs):
             fh.write(f"{idx},{c.real:.17g},{c.imag:.17g},{abs(c):.17g}\n")
-
-
-def dump_spectrum(spec: Spectrum, path: str) -> None:
-    with open(path, "wb") as fh:
-        fh.write(_SPECTRUM_MAGIC)
-        fh.write(struct.pack("<Q", spec.shape.X))
-        fh.write(np.ascontiguousarray(spec.coeffs, dtype="<c16").data)
-
-
-def load_spectrum(path: str, shape: GroupShape) -> Spectrum:
-    with open(path, "rb") as fh:
-        header = fh.read(12)
-        if header[:4] != _SPECTRUM_MAGIC or len(header) < 12:
-            raise ArgumentError(f"bad magic or short header {header!r}; not a spectrum dump")
-        (X,) = struct.unpack("<Q", header[4:])
-        if X != shape.X:
-            raise ArgumentError(f"dump is for X={X}, shape has X={shape.X}")
-        # one chunk of all X coefficients, read into a fresh array
-        (_, coeffs), = payload_chunks(fh, X, "<c16", X, "spectrum",
-                                      f"{X} coefficients of 16 bytes")
-    return Spectrum(shape, coeffs)

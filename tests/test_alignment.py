@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -272,6 +273,16 @@ def test_learning_bounds_examples():
         learning_bounds(0.1, {"tau": -1.0, "q": 2})
     with pytest.raises(ArgumentError):
         learning_bounds(-0.1, {"eps": 0.1})
+
+
+def test_learning_bounds_csq_past_the_float_range_of_tau_squared():
+    """tau^2 underflows to 0 (1e-200) or overflows (1e200); a normal tau
+    keeps (q + 1) / tau^2 * A as written."""
+    assert learning_bounds(1e-4, {"tau": 1e-200, "q": 10})["csq_raw"] == math.inf
+    assert learning_bounds(0.0, {"tau": 1e-200, "q": 10})["csq_raw"] == 0.0
+    assert learning_bounds(1e-4, {"tau": 1e-170, "q": 10})["csq_raw"] == 11 / 1e-170 / 1e-170 * 1e-4
+    assert learning_bounds(1.0, {"tau": 1e200, "q": 10})["csq_raw"] == 0.0
+    assert learning_bounds(1e-4, {"tau": 0.07, "q": 10})["csq_raw"] == 11 / 0.07**2 * 1e-4
 
 
 def test_alignment_result_record():

@@ -399,3 +399,27 @@ def test_katai_computes_the_correlation_once(capsys, monkeypatch):
     assert res["observed"] == abs(correlation(*calls[0]))
     assert res["delta"] == res["observed"] / 2
     assert res["evaluations"] == res["candidates"] * 3**5
+
+
+def _refuse_constant(name):
+    raise ValueError(f"record holds {name}, which strict JSON does not allow")
+
+
+@pytest.mark.parametrize("argv", [
+    ["katai", "--shape", "3^5", "--delta", "1e-105"],   # the cap's quotient overflows
+    ["katai", "--shape", "3^5", "--delta", "1e-300"],   # delta**3 underflows to 0
+    ["csq", "--shape", "2^4", "--tau", "1e-200", "--samples", "2"],
+    ["csq", "--shape", "2^4", "--tau", "1e-160", "--samples", "2"],
+    ["csq", "--shape", "2^4", "--tau", "1e308", "--samples", "2"],
+    ["ngd", "--shape", "2^4", "--T", "1", "--trials", "1", "--tau", "1e-320"],
+    ["ngd", "--shape", "2^4", "--T", "1", "--trials", "1", "--eps", "1e-320"],
+    ["ngd", "--shape", "2^4", "--T", "1", "--trials", "1", "--R", "1e308"],
+    ["digital-pnt", "--p", "3", "--d", "4", "--L", "1000", "--b", "0"],  # degenerate fiber
+])
+def test_extreme_floats_give_a_strict_json_record(argv, capsys):
+    assert run_command(argv) == 0
+    rec = json.loads(capsys.readouterr().out, parse_constant=_refuse_constant)
+    if argv[0] == "katai":
+        _, ref = run_json(["katai", "--shape", "3^5", "--delta", "1e-100"], capsys)
+        for key in ("candidates", "terms"):
+            assert rec["result"][key] == ref["result"][key]

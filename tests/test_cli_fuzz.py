@@ -1,21 +1,24 @@
-"""Any argv ends in exit 0, 2 or 3: run_command raises nothing.
+"""Any argv ends in exit 0, 2 or 3: run_command raises nothing, and an
+exit 0 prints a strict JSON record, with no NaN or Infinity.
 
 run_command maps only MspecError to exit codes, so a program bug that
 raises anything else escapes as a traceback and fails this test.  The
 draws stay small: shapes with X <= 4096 (X <= 256 for the Gram oracle),
 at most 5 csq samples, decay-table degrees up to 10 (X <= 2401 for odd
 p), digital-pnt degrees up to 6, and small signed integers, zero
-included, for every numeric flag; float flags also draw nan, inf, -inf and
-fractions, and --L rows may hold a superscript two, which str.isdigit
-accepts but int() does not.
+included, for every numeric flag; float flags also draw nan, inf, -inf,
+fractions and values whose square or cube leaves the float range, and
+--L rows may hold a superscript two, which str.isdigit accepts but int()
+does not.
 """
 
 import contextlib
 import io
 import itertools
+import json
 import math
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mspec.cli import run_command
 
@@ -33,7 +36,8 @@ BAD_SHAPES = ["4^2", "2^0", "3*2", "2^x", "", "2^-3", "2*2"]
 SHAPES = st.sampled_from(_shape_literals(4096) + BAD_SHAPES)
 SMALL_SHAPES = st.sampled_from(_shape_literals(256) + BAD_SHAPES)
 SIGNED = st.integers(-3, 12)
-FLOATS = st.one_of(SIGNED, st.sampled_from(["nan", "inf", "-inf", "-nan", "0.5", "1e-3"]))
+FLOATS = st.one_of(SIGNED, st.sampled_from(["nan", "inf", "-inf", "-nan", "0.5", "1e-3",
+                                            "1e-320", "1e-200", "1e308"]))
 FUNCTIONS = st.sampled_from(["mobius", "liouville", "von-mangoldt", "square-indicator"])
 
 
@@ -111,9 +115,18 @@ def argvs(draw):
     return argv
 
 
+def _refuse_constant(name):
+    raise ValueError(f"record holds {name}, which strict JSON does not allow")
+
+
 @settings(max_examples=50, deadline=None)
 @given(argv=argvs())
+@example(argv=["csq", "--shape", "2^4", "--tau", "1e-200", "--samples", "2"])
+@example(argv=["katai", "--shape", "3^5", "--delta", "1e-300"])
 def test_every_argv_exits_cleanly(argv):
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         code = run_command(argv)
     assert code in (0, 2, 3)
+    if code == 0:
+        json.loads(out.getvalue(), parse_constant=_refuse_constant)

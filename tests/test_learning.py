@@ -442,7 +442,7 @@ def _reference_ngd_train(model, target, shape, cfg):
     the reference: activations and deltas are (X, width), every step
     recomputes ||a_0||^2 and the output layer's delta."""
     h = np.asarray(target, dtype=np.float64)
-    baseline = cfg.baseline if cfg.baseline is not None else np.zeros(shape.X)
+    baseline = np.zeros(shape.X)
     inputs = embed_inputs(shape)
     weights = [w.copy() for w in model.weights]
     biases = [b.copy() for b in model.biases]

@@ -1,18 +1,18 @@
-"""Damaged dumps end in a faithful result, ArgumentError or ResourceError.
+"""Damaged table dumps end in a faithful result, ArgumentError or ResourceError.
 
-Each example dumps a small table or spectrum, then truncates it, appends
-bytes, flips payload bits, overwrites one payload entry or lies in the
-header (kind code, limit, X), or leaves it whole.  The test decides on
-its own whether the bytes are still a sound dump (header, size and a
-payload the sieve could have written: for von Mangoldt allclose to the
-sieve, otherwise values in {-1, 0, 1}, or {0, 1} for the square
-indicator, with entry 0 equal to 0).  A sound dump must load
-and give back what the file holds: the header's kind and limit with the
-payload's entries, or for von Mangoldt the sieved table.  Any other dump
-must end in ArgumentError or ResourceError; any other exception, a
-short table included, fails the test.  Table examples also draw the
-loader's chunk size, so a damaged entry falls in the first, a middle or
-the last chunk.
+Each example dumps a small table, then truncates it, appends bytes, flips
+payload bits, overwrites one payload entry or lies in the header (kind
+code, limit), or leaves it whole.  The test decides on its own whether the
+bytes are still a sound dump (header, size and a payload the sieve could
+have written: for von Mangoldt allclose to the sieve, otherwise values in
+{-1, 0, 1}, or {0, 1} for the square indicator, with entry 0 equal to 0).
+A sound dump must load and give back what the file holds: the header's
+kind and limit with the payload's entries, or for von Mangoldt the sieved
+table.  Any other dump must end in ArgumentError or ResourceError; any
+other exception, a short table included, fails the test.  Examples also
+draw the loader's chunk size, so a damaged entry falls in the first, a
+middle or the last chunk.  load_table is the package's only loader:
+spectra are written as CSV and never read back.
 """
 
 import math
@@ -25,10 +25,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from mspec import GroupShape, dump_table, group_spectrum, load_table, sieve
+from mspec import dump_table, load_table, sieve
 from mspec import arith
 from mspec.errors import ArgumentError, ResourceError
-from mspec.spectral import dump_spectrum, load_spectrum
 
 NAN = struct.pack("<d", math.nan)
 
@@ -39,7 +38,7 @@ MUTATIONS = st.lists(st.one_of(
     st.tuples(st.just("poke"), st.integers(0, 1 << 14), st.sampled_from([NAN, bytes(8)])),
     st.tuples(st.just("code"), st.integers(0, 255)),           # table kind code
     st.tuples(st.just("count"), st.one_of(st.integers(0, 1 << 14),
-                                          st.integers(0, 2**64 - 1))),  # limit or X
+                                          st.integers(0, 2**64 - 1))),  # limit
 ), min_size=1, max_size=3)
 
 
@@ -132,32 +131,6 @@ def test_damaged_table_dump(kind, limit, chunk, mutations):
     else:
         assert got.values.dtype == np.int8
         assert got.values.tobytes() == data[16:]
-
-
-SPECTRUM_SHAPES = [GroupShape([3], [3]), GroupShape([2], [6]), GroupShape([2, 5], [2, 1])]
-
-
-@settings(max_examples=80, deadline=None)
-@given(shape=st.sampled_from(SPECTRUM_SHAPES), seed=st.integers(0, 2**32 - 1),
-       mutations=st.one_of(st.just([]), MUTATIONS))
-@example(shape=SPECTRUM_SHAPES[0], seed=0, mutations=[("count", 28)])
-@example(shape=SPECTRUM_SHAPES[1], seed=0, mutations=[("poke", 127, NAN)])
-def test_damaged_spectrum_dump(shape, seed, mutations):
-    values = np.random.default_rng(seed).normal(size=shape.X)
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "spec.bin")
-        dump_spectrum(group_spectrum(values, shape), path)
-        with open(path, "rb") as fh:
-            data = _mutate(fh.read(), 12, 4, mutations)
-    got = _load(lambda path: load_spectrum(path, shape), data)
-    sound = (len(data) >= 12 and data[:4] == b"MSPS"
-             and struct.unpack("<Q", data[4:12])[0] == shape.X
-             and len(data) - 12 == 16 * shape.X)
-    assert (got is not None) == sound
-    if got is None:
-        return
-    assert got.coeffs.shape == (shape.X,)
-    assert got.coeffs.tobytes() == data[12:]
 
 
 def test_nan_in_the_last_chunk_is_corrupt(tmp_path):

@@ -31,13 +31,10 @@ from mspec import spectral
 from mspec.errors import ArgumentError, ResourceError
 from mspec.spectral import (
     SPECTRUM_CAP,
-    Spectrum,
     _digit_kernel,
     _local_coeffs,
     block_pairwise_sum,
-    dump_spectrum,
     dump_spectrum_csv,
-    load_spectrum,
 )
 
 SHAPES = [
@@ -671,64 +668,9 @@ def test_spectrum_dump_roundtrip(tmp_path):
     s = GroupShape([3], [3])
     rng = np.random.default_rng(0)
     spec = group_spectrum(rng.normal(size=s.X), s)
-    path = str(tmp_path / "spec.bin")
-    dump_spectrum(spec, path)
-    back = load_spectrum(path, s)
-    assert np.allclose(back.coeffs, spec.coeffs)
     csv_path = str(tmp_path / "spec.csv")
     dump_spectrum_csv(spec, csv_path)
     with open(csv_path) as fh:
         header = fh.readline().strip()
         assert header == "flat_index,re,im,magnitude"
         assert len(fh.readlines()) == s.X
-
-
-
-def test_spectrum_dump_roundtrip_is_exact(tmp_path):
-    """Every coefficient comes back bit for bit, signed zeros and
-    non-finite parts included, and neither direction copies the
-    coefficients as (re, im) pairs: at 2^16 the dump allocates under
-    1 B/X beyond them and the load 16 B/X plus under 1 B/X."""
-    import tracemalloc
-
-    s = GroupShape([2], [16])
-    coeffs = group_spectrum(np.random.default_rng(1).normal(size=s.X), s).coeffs.copy()
-    coeffs[:4] = [complex(-0.0, -0.0), complex(np.inf, -np.inf),
-                  complex(np.nan, 1.0), complex(0.0, -0.0)]
-    spec = Spectrum(s, coeffs)
-    path = str(tmp_path / "spec.bin")
-    tracemalloc.start()
-    try:
-        dump_spectrum(spec, path)
-        dump_peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.reset_peak()
-        back = load_spectrum(path, s)
-        load_peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert back.coeffs.dtype == np.complex128
-    assert np.array_equal(back.coeffs[4:], spec.coeffs[4:])
-    assert back.coeffs.tobytes() == spec.coeffs.tobytes()
-    assert dump_peak < s.X
-    assert load_peak < 17 * s.X
-
-def _dumped_spectrum(tmp_path):
-    s = GroupShape([3], [3])
-    path = tmp_path / "spec.bin"
-    dump_spectrum(group_spectrum(np.arange(s.X, dtype=float), s), str(path))
-    return s, path
-
-
-@pytest.mark.parametrize("keep", [7, 12, 12 + 16 * 27 - 5])
-def test_load_spectrum_rejects_truncated_dump(tmp_path, keep):
-    s, path = _dumped_spectrum(tmp_path)
-    path.write_bytes(path.read_bytes()[:keep])
-    with pytest.raises(ArgumentError, match="short header|payload bytes"):
-        load_spectrum(str(path), s)
-
-
-def test_load_spectrum_rejects_overlong_dump(tmp_path):
-    s, path = _dumped_spectrum(tmp_path)
-    path.write_bytes(path.read_bytes() + bytes(1 << 20))
-    with pytest.raises(ArgumentError, match=f"more than {16 * 27} payload bytes"):
-        load_spectrum(str(path), s)
