@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ArgumentError, ResourceError
 from .group import CharacterIndex, GroupShape, _rref_mod_p, char_stats, flatten_digits
-from .spectral import Spectrum, _as_values
+from .spectral import SPECTRUM_CAP, Spectrum, _as_values
 
 GRAM_CAP = 4096
 
@@ -64,6 +64,9 @@ def alignment_semidirect(spec: Spectrum, shape: GroupShape | None = None) -> Ali
     """max over digit-permutation orbit types of (orbit size)^-1 times the
     spectral mass carried by the type."""
     shape = shape or spec.shape
+    # the int16 histograms may take the bytes of a full complex spectrum at SPECTRUM_CAP
+    if (n := shape.X * sum(shape.primes)) > 8 * SPECTRUM_CAP:
+        raise ResourceError(f"semidirect histograms of {n} int16 entries exceed {8 * SPECTRUM_CAP}")
     power = np.abs(spec.coeffs) ** 2
     hists = _type_histograms(shape)
     # group equal rows by a stable lexicographic sort (column 0 most
@@ -145,7 +148,8 @@ def alignment_subgroup(spec: Spectrum, shape: GroupShape,
 
 
 def alignment_gram_oracle(table, shape: GroupShape, elements) -> float:
-    """Top eigenvalue of the translation Gram matrix over |elements|.
+    """Top eigenvalue of the translation Gram matrix, exact to rounding
+    by a dense Hermitian solve, over |elements|.
 
     Gram entries are (1/X) sum_x h(g + x) conj(h(g' + x)) with + the
     digitwise group law; the quotient by |elements| matches the spectral
@@ -161,29 +165,10 @@ def alignment_gram_oracle(table, shape: GroupShape, elements) -> float:
     rows = np.empty((len(elements), shape.X), dtype=values.dtype)
     for r, g in enumerate(elements):
         rows[r] = values[shape.translation(g)]
-    gram = rows @ rows.conj().T / shape.X
-    lam = _power_iteration(gram)
-    return lam / len(elements)
-
-
-def _power_iteration(gram: np.ndarray, tol: float = 1e-10, cap: int = 10**4) -> float:
-    # deterministic Gaussian start: an all-ones start is an exact
-    # eigenvector of translation Gram matrices and traps the iteration
-    n = gram.shape[0]
-    v = np.random.default_rng(0).normal(size=n).astype(gram.dtype)
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(cap):
-        w = gram @ v
-        lam = float(np.real(np.conj(v) @ w))
-        residual = np.linalg.norm(w - lam * v)
-        norm = np.linalg.norm(w)
-        if residual <= tol * max(1.0, abs(lam)):
-            return lam
-        if norm == 0.0:
-            return 0.0
-        v = w / norm
-    return lam
+    gram = rows @ rows.conj().T
+    gram /= shape.X
+    del rows  # eigvalsh copies gram: free the rows first to keep the peak down
+    return float(np.linalg.eigvalsh(gram)[-1]) / len(elements)
 
 
 def _over_tau_squared(x: float, tau: float) -> float:
@@ -214,7 +199,8 @@ def learning_bounds(A: float, params: dict) -> dict:
     if eps is not None:
         out["kernel_min_n"] = (1.0 - eps) / A if A > 0 else math.inf
     if eps is not None and tau is not None and "R" in params and "T" in params:
-        raw = params["R"] / (2.0 * tau) * math.sqrt(params["T"] * A) + A / eps
+        noise = params["R"] / (2.0 * tau) * math.sqrt(params["T"] * A) if A > 0 else 0.0
+        raw = noise + A / eps
         out["ngd_raw"] = raw
         out["ngd_fail_prob"] = min(max(raw, 0.0), 1.0)
     if tau is not None and "q" in params:

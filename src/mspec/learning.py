@@ -9,6 +9,7 @@ spectrum.
 from __future__ import annotations
 
 import math
+import operator
 import os
 from dataclasses import dataclass, field, replace
 
@@ -333,6 +334,7 @@ def _ngd_target(target, shape: GroupShape):
     return h
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow ends in the ArgumentError below
 def ngd_train(model: MlpModel, target, shape: GroupShape, cfg: NgdConfig) -> dict:
     """Population-gradient descent with per-example clipping and Gaussian
     parameter noise N(0, tau^2 I) each step.
@@ -354,8 +356,8 @@ def ngd_train(model: MlpModel, target, shape: GroupShape, cfg: NgdConfig) -> dic
 
     def record(loss):
         if not math.isfinite(loss):
-            raise ArgumentError(f"NGD diverged: loss {loss} after {len(trace)} steps "
-                                f"is not finite; lower --eta (got {cfg.eta})")
+            raise ArgumentError(f"NGD diverged: loss {loss} after {len(trace)} steps is not "
+                                f"finite; lower --eta (got {cfg.eta}) or --tau (got {cfg.tau})")
         trace.append(loss)
 
     for _ in range(cfg.T):
@@ -387,19 +389,23 @@ def _usable_cpus() -> int:
 def ngd_experiment(target, shape: GroupShape, cfg: NgdConfig, trials: int,
                    arch) -> dict:
     """Repeated seeded trainings against the alignment-driven failure
-    ceiling.  Trial t uses seed sequence [cfg.seed, t, 0] for the model
-    and [cfg.seed, t, 1] for the noise, on a pool of at most two threads,
-    with the result of a sequential run; final_losses is in trial order.
-    The first failed trial's exception, in trial order, is re-raised here,
-    and trials not yet started are dropped."""
+    ceiling.  Trial t uses seed sequence [cfg.seed, t, 0] for the model and
+    [cfg.seed, t, 1] for the noise, cfg.seed an integer, on a pool of at
+    most two threads, with the result of a sequential run; final_losses is
+    in trial order.  The first failed trial's exception, in trial order, is
+    re-raised here, and trials not yet started are dropped."""
     from concurrent.futures import ThreadPoolExecutor  # kept off the CLI's import path
 
     if trials < 1:
         raise ArgumentError(f"trials must be >= 1, got {trials}")
     if cfg.tau <= 0:
         raise ArgumentError("tau must be > 0 for the bound comparison")
+    try:
+        entropy = operator.index(cfg.seed)
+    except TypeError:
+        raise ArgumentError(f"seed must be an integer, got {cfg.seed!r}") from None
     h = _ngd_target(target, shape)
-    entropy, threads = _seed_entropy(cfg.seed), min(2, _usable_cpus(), trials)
+    threads = min(2, _usable_cpus(), trials)
 
     def trial(t):
         return ngd_train(MlpModel(shape, arch, seed=[entropy, t, 0]), h, shape,
@@ -425,12 +431,6 @@ def ngd_experiment(target, shape: GroupShape, cfg: NgdConfig, trials: int,
         "threads": threads,
         "vacuous": bounds["ngd_raw"] >= 1.0,
     }
-
-
-def _seed_entropy(seed) -> int:
-    if isinstance(seed, (list, tuple)):
-        return int(seed[0])
-    return int(seed)
 
 
 # -- adversarial correlational-query game --------------------------------

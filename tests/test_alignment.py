@@ -7,6 +7,7 @@ import pytest
 from mspec import (
     CharacterIndex,
     GroupShape,
+    Spectrum,
     SubgroupSpec,
     alignment_full_group,
     alignment_gram_oracle,
@@ -61,6 +62,23 @@ def test_semidirect_examples():
     r = alignment_semidirect(group_spectrum(const, s), s)
     assert abs(r.value - 0.49) < 1e-12
     assert r.witness == ((3, 0),)
+
+
+def test_semidirect_refuses_oversized_histograms():
+    """The (X, sum p_i) int16 histograms are refused above the bytes of a
+    full spectrum at SPECTRUM_CAP, before anything is built."""
+    for text in ("100003", "1009^2"):
+        s = parse_shape(text)
+        spec = Spectrum(shape=s, coeffs=np.zeros(s.X, dtype=complex))
+        with pytest.raises(ResourceError, match="semidirect"):
+            alignment_semidirect(spec, s)
+
+
+def test_semidirect_cli_refuses_a_large_prime(capsys):
+    code = run_command(["align", "--shape", "100003", "--group", "semidirect"])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert "semidirect" in captured.err and "Traceback" not in captured.err
 
 
 def test_semidirect_below_full():
@@ -220,13 +238,13 @@ def test_gram_oracle_real_tables_stay_real(monkeypatch):
     import mspec.alignment
 
     dtypes = []
-    power_iteration = mspec.alignment._power_iteration
+    eigvalsh = mspec.alignment.np.linalg.eigvalsh
 
     def spy(gram):
         dtypes.append(gram.dtype)
-        return power_iteration(gram)
+        return eigvalsh(gram)
 
-    monkeypatch.setattr(mspec.alignment, "_power_iteration", spy)
+    monkeypatch.setattr(mspec.alignment.np.linalg, "eigvalsh", spy)
     for s in [GroupShape([2], [8]), GroupShape([3], [5]), GroupShape([2, 3], [3, 2])]:
         for kind in ("mobius", "liouville"):
             h = sieve(kind, s.X).values.astype(float)
@@ -234,6 +252,18 @@ def test_gram_oracle_real_tables_stay_real(monkeypatch):
             complex_ = alignment_gram_oracle(h.astype(np.complex128), s, range(s.X))
             assert abs(real - complex_) < 1e-12
     assert dtypes == [np.float64, np.complex128] * 6
+
+
+@pytest.mark.parametrize("eps", [1e-4, 1e-6])
+def test_gram_oracle_near_degenerate_top_eigenvalue(eps):
+    """chi_3 + (1 - eps) chi_200 on 2^8: the two largest eigenvalues of the
+    Gram matrix over X are 1 and (1 - eps)^2, a gap that an iterative
+    solver closes only slowly."""
+    s = GroupShape([2], [8])
+    h = (char_values(CharacterIndex.from_flat(3, s), s)
+         + (1 - eps) * char_values(CharacterIndex.from_flat(200, s), s))
+    spectral = alignment_full_group(group_spectrum(h, s)).value
+    assert abs(alignment_gram_oracle(h, s, range(s.X)) - spectral) < 1e-12
 
 
 def test_gram_oracle_caps():
@@ -283,6 +313,13 @@ def test_learning_bounds_csq_past_the_float_range_of_tau_squared():
     assert learning_bounds(1e-4, {"tau": 1e-170, "q": 10})["csq_raw"] == 11 / 1e-170 / 1e-170 * 1e-4
     assert learning_bounds(1.0, {"tau": 1e200, "q": 10})["csq_raw"] == 0.0
     assert learning_bounds(1e-4, {"tau": 0.07, "q": 10})["csq_raw"] == 11 / 0.07**2 * 1e-4
+
+
+def test_learning_bounds_ngd_noise_term_is_zero_at_zero_alignment():
+    """R / (2 tau) overflows at tau = 1e-320; at A = 0 the noise term is 0,
+    not inf * 0 = nan."""
+    out = learning_bounds(0.0, {"eps": 0.01, "tau": 1e-320, "R": 1.0, "T": 10})
+    assert out["ngd_raw"] == 0.0 and out["ngd_fail_prob"] == 0.0
 
 
 def test_alignment_result_record():

@@ -270,6 +270,23 @@ def test_ngd_divergence_exits_2(capsys):
     assert captured.out == ""
     assert "--eta" in captured.err and "Traceback" not in captured.err
 
+
+def test_ngd_noise_divergence_names_tau_without_warnings(capsys):
+    """Gaussian noise of a huge --tau overflows the parameters: exit 2
+    naming --tau, and numpy raises no RuntimeWarning on the way."""
+    import warnings
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run_command(["ngd", "--shape", "2^4", "--T", "2", "--trials", "1",
+                            "--tau", "1e200"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--tau" in captured.err and "Traceback" not in captured.err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
 @pytest.mark.parametrize("argv,flag", [
     (["spectrum", "--shape", "2^x"], "--shape"),
     (["spectrum", "--shape", "4^2"], "--shape"),

@@ -125,6 +125,14 @@ def test_ngd_caps_and_errors():
         ngd_train(MlpModel(big, [2]), np.zeros(big.X), big, NgdConfig(T=1))
 
 
+def test_ngd_experiment_refuses_a_list_seed():
+    """Trial seeds are [seed, t, 0|1] for an integer seed; a list seed is
+    refused rather than cut to its first entry."""
+    s = GroupShape([2], [4])
+    with pytest.raises(ArgumentError, match=r"seed must be an integer, got \[5, 1\]"):
+        ngd_experiment(np.zeros(s.X), s, NgdConfig(T=1, seed=[5, 1]), trials=1, arch=[4])
+
+
 def test_ngd_embeds_only_factor_rows(monkeypatch):
     """Each trial embeds the X_low + X_high rows of its two factors, never
     the whole group, and a shape above the cap is refused before any
