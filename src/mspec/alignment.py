@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArgumentError, ResourceError
-from .group import CharacterIndex, GroupShape, _rref_mod_p, char_stats, flatten_digits
+from .group import CharacterIndex, GroupShape, _rref_mod_p, flatten_digits
 from .spectral import SPECTRUM_CAP, Spectrum, _as_values
 
 GRAM_CAP = 4096
@@ -47,48 +47,43 @@ def alignment_full_group(spec: Spectrum) -> AlignmentResult:
     return AlignmentResult(float(power[idx]), witness, "full_group")
 
 
-def _type_histograms(shape: GroupShape) -> np.ndarray:
-    """(X, sum_i p_i) matrix: per-block digit-value counts of every
-    character index, from each block's (p_i, b_i) count table read along
-    the block's axis of the flat layout."""
-    counts = []
+def _orbit_minima(shape: GroupShape) -> np.ndarray:
+    """(X,) keys: the smallest flat index in the orbit of each character
+    under digit permutations.  Per block it puts the largest digits lowest:
+    from the counts c_t of each digit value, the sum over t = p-1 .. 1 of
+    t p^low (p^c_t - 1)/(p - 1), low the number of digits placed before t."""
+    tables = []
     for i, (p, e) in enumerate(zip(shape.primes, shape.exponents)):
         # terms[t, k, v] = (v == t): digit k adds one to the count of its value
         terms = np.broadcast_to(np.eye(p, dtype=np.int16)[:, None, :], (p, e, p))
-        counts.append(shape.block_at(i, shape.block_table(i, terms),
-                                     stride=shape.block_strides[i]))
-    return np.concatenate(counts).T
+        counts = shape.block_table(i, terms)
+        powers = p ** np.arange(e + 1, dtype=np.int64)
+        repunits = (powers - 1) // (p - 1)
+        low = np.zeros(shape.block_sizes[i], dtype=np.int16)
+        out = np.zeros(shape.block_sizes[i], dtype=np.int64)
+        for t in range(p - 1, 0, -1):
+            out += t * powers[low] * repunits[counts[t]]
+            low += counts[t]
+        tables.append(out * shape.block_strides[i])
+    return shape.block_sum(tables, strides=shape.block_strides)
 
 
 def alignment_semidirect(spec: Spectrum, shape: GroupShape | None = None) -> AlignmentResult:
     """max over digit-permutation orbit types of (orbit size)^-1 times the
-    spectral mass carried by the type."""
+    spectral mass carried by the type; ties go to the type that holds the
+    smallest character index, and the witness is its type tuple."""
     shape = shape or spec.shape
-    # the int16 histograms may take the bytes of a full complex spectrum at SPECTRUM_CAP
-    if (n := shape.X * sum(shape.primes)) > 8 * SPECTRUM_CAP:
-        raise ResourceError(f"semidirect histograms of {n} int16 entries exceed {8 * SPECTRUM_CAP}")
-    power = np.abs(spec.coeffs) ** 2
-    hists = _type_histograms(shape)
-    # group equal rows by a stable lexicographic sort (column 0 most
-    # significant), as np.unique(axis=0) orders them; the columns together
-    # can overflow a packed int64 key
-    order = np.lexsort(hists.T[::-1])
-    ranked = hists[order]
-    new = np.ones(order.shape[0], dtype=bool)
-    new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
-    first = order[new]
-    inverse = np.empty_like(order)
-    inverse[order] = np.cumsum(new) - 1
-    masses = np.bincount(inverse, weights=power, minlength=first.shape[0])
-    best_value = -1.0
-    best_type = None
-    for row in range(first.shape[0]):
-        _, ttuple, class_size = char_stats(CharacterIndex.from_flat(first[row], shape), shape)
-        value = masses[row] / class_size
-        if value > best_value + 1e-18:
-            best_value = value
-            best_type = ttuple
-    return AlignmentResult(float(best_value), best_type, "semidirect")
+    # one block's int16 digit counts, against a full spectrum's bytes at SPECTRUM_CAP
+    if (n := max(p * b for p, b in zip(shape.primes, shape.block_sizes))) > 8 * SPECTRUM_CAP:
+        raise ResourceError(f"semidirect counts of {n} int16 entries exceed {8 * SPECTRUM_CAP}")
+    keys = _orbit_minima(shape)
+    sizes = np.bincount(keys)
+    masses = np.bincount(keys, weights=np.abs(spec.coeffs) ** 2)
+    reps = np.flatnonzero(sizes)
+    values = masses[reps] / sizes[reps]
+    best = int(np.argmax(values))
+    witness = CharacterIndex.from_flat(reps[best], shape).type_tuple
+    return AlignmentResult(float(values[best]), witness, "semidirect")
 
 
 class SubgroupSpec:

@@ -288,17 +288,15 @@ def gradient_check(model: MlpModel, x: int, shape: GroupShape,
     theta = model.get_flat()
     fd = np.empty_like(theta)
     probe = MlpModel(shape, model.sizes[1:-1], seed=0)
+
+    def at(delta):
+        t = theta.copy()
+        t[i] += delta
+        probe.set_flat(t)
+        return probe(inputs)[0]
+
     for i in range(theta.size):
-        for sign, slot in ((1.0, 0), (-1.0, 1)):
-            t = theta.copy()
-            t[i] += sign * step
-            probe.set_flat(t)
-            val = probe(inputs)[0]
-            if slot == 0:
-                plus = val
-            else:
-                minus = val
-        fd[i] = (plus - minus) / (2.0 * step)
+        fd[i] = (at(step) - at(-step)) / (2.0 * step)
     scale = np.maximum(np.maximum(np.abs(analytic), np.abs(fd)), 1e-8)
     err = np.abs(analytic - fd) / scale
     err[(np.abs(analytic) < 1e-12) & (np.abs(fd) < 1e-12)] = 0.0
@@ -390,9 +388,9 @@ def ngd_experiment(target, shape: GroupShape, cfg: NgdConfig, trials: int,
                    arch) -> dict:
     """Repeated seeded trainings against the alignment-driven failure
     ceiling.  Trial t uses seed sequence [cfg.seed, t, 0] for the model and
-    [cfg.seed, t, 1] for the noise, cfg.seed an integer, on a pool of at
-    most two threads, with the result of a sequential run; final_losses is
-    in trial order.  The first failed trial's exception, in trial order, is
+    [cfg.seed, t, 1] for the noise, cfg.seed an integer >= 0, on a pool of
+    at most two threads, with the result of a sequential run; final_losses
+    is in trial order.  The first failed trial's exception, in trial order, is
     re-raised here, and trials not yet started are dropped."""
     from concurrent.futures import ThreadPoolExecutor  # kept off the CLI's import path
 
@@ -404,6 +402,8 @@ def ngd_experiment(target, shape: GroupShape, cfg: NgdConfig, trials: int,
         entropy = operator.index(cfg.seed)
     except TypeError:
         raise ArgumentError(f"seed must be an integer, got {cfg.seed!r}") from None
+    if entropy < 0:
+        raise ArgumentError(f"seed must be >= 0, got {entropy}")
     h = _ngd_target(target, shape)
     threads = min(2, _usable_cpus(), trials)
 

@@ -466,9 +466,9 @@ def truncated_character(a: CharacterIndex, shape: GroupShape, cutoffs):
         b = shape.block_sizes[i]
         K = cutoffs[i]
         coeffs = _local_coeffs(a.block(i), p, e)
-        kappa = np.arange(b, dtype=np.int64)
-        signed = np.where(kappa > b // 2, kappa - b, kappa)  # (-b/2, b/2]
-        u = np.abs(signed).astype(np.float64)
+        # |signed frequency residue| of k, the residue taken in (-b/2, b/2]
+        u = np.arange(b, dtype=np.float64)
+        np.minimum(u, b - u, out=u)
         eta = np.clip((2.0 * K - u) / K, 0.0, 1.0)
         # entry x of values reads block i at x mod b
         rows = values.reshape(-1, b)
@@ -483,7 +483,7 @@ def truncated_character(a: CharacterIndex, shape: GroupShape, cutoffs):
                 "block": i,
                 "cutoff": K,
                 "kept": int(kept.sum()),
-                "max_abs_frequency": int(np.abs(signed[kept]).max()) if kept.any() else 0,
+                "max_abs_frequency": int(u[kept].max()) if kept.any() else 0,
             }
         )
     l2_error = _truncation_error(sums)

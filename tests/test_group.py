@@ -20,7 +20,7 @@ from mspec import (
     rotate_first_layer,
     sieve,
 )
-from mspec.alignment import _type_histograms
+from mspec.alignment import _orbit_minima
 from mspec.errors import ArgumentError
 from mspec.group import roots_of_unity
 from mspec.learning import embed_inputs
@@ -323,12 +323,18 @@ def test_embed_inputs_match_crt_reference(s):
 
 
 @pytest.mark.parametrize("s", MIXED, ids=repr)
-def test_type_histograms_match_type_tuples(s):
-    hists = _type_histograms(s)
-    assert hists.shape == (s.X, sum(s.primes))
+def test_orbit_minima_are_the_smallest_orbit_members(s):
+    keys = _orbit_minima(s)
+    assert keys.shape == (s.X,) and keys.dtype == np.int64
+    assert np.array_equal(keys[keys], keys)
     for flat in range(0, s.X, max(1, s.X // 500)):
-        tt = CharacterIndex.from_flat(flat, s).type_tuple
-        assert tuple(hists[flat]) == tuple(m for block in tt for m in block)
+        a = CharacterIndex.from_flat(flat, s)
+        key = int(keys[flat])
+        assert key <= flat
+        assert CharacterIndex.from_flat(key, s).type_tuple == a.type_tuple
+        # the smallest member: per block, the digits sorted largest lowest
+        blocks = [sorted(a.block(i), reverse=True) for i in range(s.r)]
+        assert key == CharacterIndex.from_digits(blocks, s).flat
 
 
 @pytest.mark.parametrize("s", REFERENCE_SHAPES, ids=repr)

@@ -133,6 +133,13 @@ def test_ngd_experiment_refuses_a_list_seed():
         ngd_experiment(np.zeros(s.X), s, NgdConfig(T=1, seed=[5, 1]), trials=1, arch=[4])
 
 
+def test_ngd_experiment_refuses_a_negative_seed():
+    """A negative seed is refused by name, not by numpy's seed sequence."""
+    s = GroupShape([2], [4])
+    with pytest.raises(ArgumentError, match=r"seed must be >= 0, got -1"):
+        ngd_experiment(np.zeros(s.X), s, NgdConfig(T=1, seed=-1), trials=1, arch=[4])
+
+
 def test_ngd_embeds_only_factor_rows(monkeypatch):
     """Each trial embeds the X_low + X_high rows of its two factors, never
     the whole group, and a shape above the cap is refused before any
