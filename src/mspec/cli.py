@@ -48,7 +48,6 @@ from .primes import (
 )
 from .learning import (
     NGD_X_CAP,
-    FixedFeatureStrategy,
     NgdConfig,
     binary_mult_covariance,
     csq_bad_event_rate,
@@ -329,10 +328,8 @@ def _cmd_ngd(args):
 
 def _cmd_csq(args):
     shape = parse_shape(args.shape)
-    values = _table(args, shape, SPECTRUM_CAP)
-    strategy = FixedFeatureStrategy(shape, args.q)  # stateless: one per run
-    return csq_bad_event_rate(values, shape, lambda: strategy, args.tau, args.q,
-                              args.samples, seed=args.seed)
+    return csq_bad_event_rate(_table(args, shape, SPECTRUM_CAP), shape, args.tau,
+                              args.q, args.samples, seed=args.seed)
 
 
 def _cmd_decay_table(args):

@@ -1,9 +1,9 @@
 """Learning procedures whose failure the alignment value bounds.
 
-Noisy gradient descent on a small tanh network over digit embeddings,
-the adversarial correlational-query game with null replay, and the
-binary completely-multiplicative hypothesis class with its covariance
-spectrum.
+Noisy gradient descent on a small tanh network over digit embeddings; the
+correlational-query game with null replay, whose bad-event rate over
+translates is read from the spectrum, not played; and the binary
+completely-multiplicative hypothesis class with its covariance spectrum.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 from .arith import primes_up_to, sieve
 from .errors import ArgumentError, ResourceError
 from .group import GroupShape, char_values, CharacterIndex, flatten_digits
-from .spectral import group_spectrum
+from .spectral import SPECTRUM_CAP, group_spectrum
 from .alignment import _over_tau_squared, alignment_full_group, learning_bounds
 
 NGD_X_CAP = 1 << 20
@@ -444,6 +444,11 @@ class CsqTranscript:
     bad_event: bool = False
 
 
+def _query_characters(shape: GroupShape, q: int) -> list:
+    """a_k = flat (k + 1) mod X, asked by queries 2k (real part) and 2k + 1 (imaginary)."""
+    return [CharacterIndex.from_flat((k + 1) % shape.X, shape) for k in range((q + 1) // 2)]
+
+
 class FixedFeatureStrategy:
     """Non-adaptive strategy: queries the real/imaginary parts of a fixed
     list of characters, then outputs the clipped response-weighted sum."""
@@ -451,8 +456,8 @@ class FixedFeatureStrategy:
     def __init__(self, shape: GroupShape, q: int):
         self.shape = shape
         self.features = []
-        for idx in range(1, (q + 1) // 2 + 1):
-            chi = char_values(CharacterIndex.from_flat(idx % shape.X, shape), shape)
+        for a in _query_characters(shape, q):
+            chi = char_values(a, shape)
             self.features += [np.real(chi), np.imag(chi)][:q - len(self.features)]
 
     def query(self, t: int, responses):
@@ -500,25 +505,25 @@ def csq_adversarial_game(learner, target, null_target, tau: float,
     return transcript
 
 
-def csq_bad_event_rate(orbit_target, shape: GroupShape, learner_factory,
-                       tau: float, q: int, samples: int, seed: int = 0) -> dict:
-    """Bad-event frequency of the game over uniform group translates of
-    the base target, against the (q A / tau^2) ceiling."""
+def csq_bad_event_rate(orbit_target, shape: GroupShape, tau: float, q: int,
+                       samples: int, seed: int = 0) -> dict:
+    """Bad-event rate of FixedFeatureStrategy(shape, q) against the zero null over uniform
+    translates h(g + .) of a real h, and its q A / tau^2 ceiling.  No game is played: query
+    t's answer, Re or -Im of chi_a(g) hhat(a), is read from the spectrum."""
     for name, count in (("samples", samples), ("q", q)):
         if count < 1:
             raise ArgumentError(f"{name} must be >= 1, got {count}")
-    base = np.asarray(orbit_target, dtype=np.float64)
-    rng = np.random.default_rng(seed)
-    gs = rng.integers(0, shape.X, size=samples)
-    null = np.zeros(shape.X)
-    bad = 0
-    for g in gs:
-        translated = base[shape.translation(int(g))]
-        learner = learner_factory()
-        transcript = csq_adversarial_game(learner, translated, null, tau, q)
-        bad += transcript.bad_event
-    rate = bad / samples
-    A = alignment_full_group(group_spectrum(base, shape)).value
+    if not tau > 0:  # NaN too
+        raise ArgumentError(f"--tau must be > 0, got {tau}")
+    if q * samples > SPECTRUM_CAP:
+        raise ResourceError(f"--q {q} times --samples {samples} exceeds the cap {SPECTRUM_CAP}")
+    spec = group_spectrum(orbit_target, shape)
+    gs = np.random.default_rng(seed).integers(0, shape.X, size=samples)
+    z = np.array([char_values(a, shape, gs) * spec.coeffs[a.flat]
+                  for a in _query_characters(shape, q)])
+    answers = np.stack([z.real, z.imag], axis=1).reshape(-1, samples)[:q]  # row t: query t
+    rate = np.count_nonzero((np.abs(answers) > tau).any(axis=0)) / samples
+    A = alignment_full_group(spec).value
     bound = _over_tau_squared(q * A, tau)
     sigma = math.sqrt(max(rate * (1.0 - rate), 1.0 / samples) / samples)
     return {"empirical_rate": rate, "bound": bound, "sigma": sigma,

@@ -253,8 +253,7 @@ def test_criterion_12_csq_replay_and_rate():
                                 tau=0.01, q_max=6)
     assert run1.responses == run2.responses
     assert np.array_equal(run1.output, run2.output)
-    out = csq_bad_event_rate(mu, s, lambda: FixedFeatureStrategy(s, 10),
-                             tau=0.01, q=10, samples=500)
+    out = csq_bad_event_rate(mu, s, tau=0.01, q=10, samples=500)
     assert out["empirical_rate"] <= out["bound"] + 3.0 * out["sigma"]
     print("CRITERION 12 PASS: statistical-query replay exact; bad-event rate "
           "%.4f <= %.4f + 3 sigma over 500 translates" %

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 import mspec.cli
+import mspec.learning
 import mspec.spectral
-from mspec import (CharacterIndex, FixedFeatureStrategy, char_values, correlation,
+from mspec import (CharacterIndex, char_values, correlation,
                    csq_bad_event_rate, group_spectrum, parse_shape)
 from mspec.alignment import GRAM_CAP
 from mspec.learning import NGD_X_CAP
@@ -217,8 +218,7 @@ def test_seed_recorded(capsys):
 def test_csq_rate_matches_per_sample_strategies(capsys):
     shape = parse_shape("3^5")
     values = mspec.cli._function_values("liouville", shape.X)
-    want = csq_bad_event_rate(values, shape, lambda: FixedFeatureStrategy(shape, 4),
-                              tau=0.1, q=4, samples=40, seed=3)
+    want = csq_bad_event_rate(values, shape, tau=0.1, q=4, samples=40, seed=3)
     assert 0.0 < want["empirical_rate"] < 1.0
     code, rec = run_json(["csq", "--shape", "3^5", "--function", "liouville",
                           "--tau", "0.1", "--q", "4", "--samples", "40",
@@ -247,6 +247,8 @@ def test_ngd_runs_on_one_digit_and_one_digit_per_block(text, capsys):
     (["ngd", "--shape", "2^4", "--eps", "NaN"], "--eps"),
     (["katai", "--shape", "3^3", "--delta", "inf"], "--delta"),
     (["katai", "--shape", "3^3", "--delta", "x"], "--delta"),
+    (["csq", "--shape", "2^4", "--tau", "0"], "--tau"),
+    (["csq", "--shape", "2^4", "--tau", "-1"], "--tau"),
 ])
 def test_nonpositive_counts_rejected(argv, flag, capsys):
     assert run_command(argv) == 2
@@ -331,8 +333,7 @@ def test_nonpositive_counts_rejected_by_library():
 
     shape = parse_shape("2^4")
     with pytest.raises(ArgumentError, match="samples"):
-        csq_bad_event_rate(np.ones(shape.X), shape,
-                           lambda: FixedFeatureStrategy(shape, 2), 0.1, 2, 0)
+        csq_bad_event_rate(np.ones(shape.X), shape, 0.1, 2, 0)
     for hidden in ([0], [4, -2]):
         with pytest.raises(ArgumentError, match="widths"):
             MlpModel(shape, hidden)
@@ -388,6 +389,18 @@ def test_caps_refuse_before_the_sieve(argv, cap, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"cap {cap}" in captured.err and "Traceback" not in captured.err
+
+
+def test_csq_samples_times_q_over_the_cap_exits_3(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("drew translates for a run that must be refused")
+
+    monkeypatch.setattr(mspec.learning.np.random, "default_rng", refuse)
+    assert run_command(["csq", "--shape", "2^4", "--samples", "1000000000000"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--q 10 times --samples 1000000000000" in captured.err
+    assert f"cap {SPECTRUM_CAP}" in captured.err and "Traceback" not in captured.err
 
 
 def test_bounds_check_interval_over_the_cap_exits_3(capsys):

@@ -122,6 +122,7 @@ def _refuse_constant(name):
 @settings(max_examples=50, deadline=None)
 @given(argv=argvs())
 @example(argv=["csq", "--shape", "2^4", "--tau", "1e-200", "--samples", "2"])
+@example(argv=["csq", "--shape", "2^4", "--samples", "1000000000000"])
 @example(argv=["katai", "--shape", "3^5", "--delta", "1e-300"])
 @example(argv=["align", "--shape", "100003", "--group", "semidirect"])
 def test_every_argv_exits_cleanly(argv):

@@ -366,23 +366,50 @@ def test_csq_q_below_one_rejected():
     s = GroupShape([2], [4])
     for q in (0, -2):
         with pytest.raises(ArgumentError, match="q must be >= 1"):
-            csq_bad_event_rate(np.ones(s.X), s, lambda: FixedFeatureStrategy(s, q),
-                               tau=0.1, q=q, samples=2)
+            csq_bad_event_rate(np.ones(s.X), s, tau=0.1, q=q, samples=2)
 
 
 def test_csq_rate_zero_target():
     s = GroupShape([2], [6])
-    out = csq_bad_event_rate(np.zeros(s.X), s,
-                             lambda: FixedFeatureStrategy(s, 3),
-                             tau=0.1, q=3, samples=10)
+    out = csq_bad_event_rate(np.zeros(s.X), s, tau=0.1, q=3, samples=10)
     assert out["empirical_rate"] == 0.0 and out["bound"] == 0.0
+
+
+def test_csq_rate_equals_the_direct_game():
+    """The rate reads each answer from the spectrum; replaying the same
+    translates through csq_adversarial_game must give the same count.  2^2
+    with q = 10 wraps the query list past 2X onto the trivial character."""
+    margin, rates = math.inf, []
+    for text, function, samples in [("2^12", "mobius", 200), ("2^2*3^2*5", "mobius", 200),
+                                    ("3^7", "mobius", 200), ("2^2", "mobius", 200),
+                                    ("3^5", "liouville", 200), ("2^16", "mobius", 50)]:
+        shape = parse_shape(text)
+        base = sieve(function, shape.X).values.astype(float)
+        zeros = np.zeros(shape.X)
+        for q, tau in ((10, 0.01), (4, 0.1)):
+            strategy = FixedFeatureStrategy(shape, q)
+            bad = 0
+            for g in np.random.default_rng(0).integers(0, shape.X, size=samples):
+                h = base[shape.translation(int(g))]
+                bad += csq_adversarial_game(strategy, h, zeros, tau, q).bad_event
+                u = np.array([np.mean(h * phi) for phi in strategy.features])
+                margin = min(margin, float(np.abs(np.abs(u) - tau).min()))
+            out = csq_bad_event_rate(base, shape, tau, q, samples)
+            assert out["empirical_rate"] == bad / samples, (text, q, tau)
+            rates.append(out["empirical_rate"])
+    assert any(0.0 < r < 1.0 for r in rates)
+    print(f"smallest ||u| - tau| margin: {margin:.3g}")
+
+
+def test_csq_rate_refuses_a_wrong_length_target():
+    with pytest.raises(ArgumentError, match="table length 8 != X = 16"):
+        csq_bad_event_rate(np.ones(8), parse_shape("2^4"), 0.1, 2, 5)
 
 
 def test_csq_rate_large_tau():
     s = GroupShape([2], [6])
     h = sieve("mobius", s.X).values.astype(float)
-    out = csq_bad_event_rate(h, s, lambda: FixedFeatureStrategy(s, 1),
-                             tau=2.0, q=1, samples=10)
+    out = csq_bad_event_rate(h, s, tau=2.0, q=1, samples=10)
     assert out["empirical_rate"] == 0.0
 
 
