@@ -51,6 +51,7 @@ from .learning import (
     NgdConfig,
     binary_mult_covariance,
     csq_bad_event_rate,
+    csq_preflight,
     ngd_experiment,
 )
 
@@ -80,21 +81,24 @@ def _cnum(z) -> dict:
 
 
 def _function_values(name: str, X: int) -> np.ndarray:
+    """The sieved table of function ``name`` on [0, X), in the sieve's dtype."""
     kind = _FUNCTION_ALIASES.get(name)
     if kind is None:
         raise ArgumentError(f"unknown function {name!r}; expected one of "
                             f"{sorted(_FUNCTION_ALIASES)}")
-    return sieve(kind, X).values.astype(np.float64)
+    return sieve(kind, X).values
 
 
-def _table(args, shape: GroupShape, cap=None, group=()) -> np.ndarray:
-    """The --function table on shape's X: the CLI's one sieve call, made only
-    once shape.X and the X of each shape in ``group`` are within ``cap``, the
-    cap of the library call the table feeds (None: the sieve's own cap)."""
+def _table(args, shape: GroupShape, cap=None, group=(), widen=True) -> np.ndarray:
+    """The --function table on shape's X, as float64 or (widen=False) as the
+    sieve's own dtype: the CLI's one sieve call, made only once shape.X and
+    the X of each shape in ``group`` are within ``cap``, the cap of the
+    library call the table feeds (None: the sieve's own cap)."""
     X = max(s.X for s in (shape, *group))
     if cap is not None and X > cap:
         raise ResourceError(f"X = {X} exceeds the {args.command} cap {cap}")
-    return _function_values(args.function, shape.X)
+    values = _function_values(args.function, shape.X)
+    return values.astype(np.float64) if widen else values
 
 
 def _add_common(p: argparse.ArgumentParser, shape=True, function=True, plot=False):
@@ -220,7 +224,7 @@ def _cmd_spectrum(args):
 def _cmd_correlate(args):
     shape = parse_shape(args.shape)
     a = CharacterIndex.from_flat(args.char, shape)
-    c = correlation(_table(args, shape), a, shape)
+    c = correlation(_table(args, shape, widen=False), a, shape)
     return {"char": args.char, "digits": list(a.digits),
             "coefficient": _cnum(c), "magnitude": float(abs(c))}
 
@@ -248,7 +252,7 @@ def _cmd_gram_oracle(args):
 
 def _cmd_katai(args):
     shape = parse_shape(args.shape)
-    values = _table(args, shape, SPECTRUM_CAP if args.char is None else None)
+    values = _table(args, shape, SPECTRUM_CAP if args.char is None else None, widen=False)
     flat = args.char
     if flat is None:
         flat = int(np.argmax(np.abs(group_spectrum(values, shape).coeffs[1:]))) + 1
@@ -328,6 +332,7 @@ def _cmd_ngd(args):
 
 def _cmd_csq(args):
     shape = parse_shape(args.shape)
+    csq_preflight(args.tau, args.q, args.samples)
     return csq_bad_event_rate(_table(args, shape, SPECTRUM_CAP), shape, args.tau,
                               args.q, args.samples, seed=args.seed)
 

@@ -148,11 +148,12 @@ class GroupShape:
                                in zip(self.block_sizes, self.block_strides)], xs)
 
     def block_table(self, i: int, terms) -> np.ndarray:
-        """(..., b_i) table of a digit function on block i's local values y:
-        entry y is sum_k terms[..., k, digit k of y] for (..., d_i, p_i) terms,
-        one broadcast add per digit, built in full even for a read at few xs."""
+        """(..., p_i^k) table of a digit function on the values y of k digits
+        of block i: entry y is sum_j terms[..., j, digit j of y] for
+        (..., k, p_i) terms, one broadcast add per digit (k = d_i: the whole
+        block)."""
         table = terms[..., 0, :]
-        for k in range(1, self.exponents[i]):
+        for k in range(1, terms.shape[-2]):
             # sizes spelled out: a leading axis of length 0 admits no -1
             table = (terms[..., k, :, None] + table[..., None, :]).reshape(
                 terms.shape[:-2] + (self.primes[i] ** (k + 1),))
@@ -226,6 +227,19 @@ class GroupShape:
         out %= self.X
         return out
 
+    def exponent_halves(self, i: int, coeffs, whole: int):
+        """(m, low, high) with sum_j coeffs_j y_j = low[y mod m] + high[y div m]
+        (mod p_i) for block i's values y: one table (m = b_i, high = [0]) when
+        b_i <= whole, else the low and high digit halves, of about sqrt(b_i)
+        entries each; a one-digit block is the form c y of _linear_halves."""
+        p, e, b = self.primes[i], self.exponents[i], self.block_sizes[i]
+        if e == 1:
+            return _linear_halves(int(coeffs[0]) % p, p, whole)
+        terms = np.asarray(coeffs, dtype=np.int64)[:, None] * np.arange(p) % p
+        k = e if b <= whole else e // 2
+        high = self.block_table(i, terms[k:]) % p if k < e else np.zeros(1, np.int64)
+        return p**k, self.block_table(i, terms[:k]) % p, high
+
     def _decode_weights(self) -> np.ndarray:
         # weight of digit (i, j) in the CRT reconstruction, mod X
         w = np.empty(self.d, dtype=np.int64)
@@ -238,6 +252,44 @@ class GroupShape:
                 pw *= p
                 col += 1
         return w
+
+
+def _linear_halves(c: int, q: int, whole: int):
+    """(m, low, high) with c y = low[y mod m] + high[y div m] (mod q) for y in
+    [0, q): m = q and high = [0] when q <= whole, else m about sqrt(q)."""
+    m = q if q <= whole else math.isqrt(q - 1) + 1
+    return m, c * np.arange(m) % q, c * m % q * np.arange(-(-q // m)) % q
+
+
+class HalvesReader:
+    """lut[E(x mod b)] for E(y) = low[y mod m] + high[y div m] mod len(lut),
+    at sample points (at) or over runs of up to span consecutive x (run).
+    One table (m >= b) is tiled to span + b entries once, so a run is a
+    slice.  Otherwise a run, cut where x mod b wraps, is whole rows of the
+    (len(high), m) grid: a broadcast add high[rows, None] + low, one
+    wrapped take from lut (the sum is below 2 len(lut)) and a slice."""
+
+    def __init__(self, b: int, halves, lut: np.ndarray, span: int = 0):
+        self.b, (self.m, self.low, self.high), self.lut = b, halves, lut
+        if span and self.m >= b:
+            self.tiled = np.resize(lut[self.low], span + b)
+
+    def at(self, xs) -> np.ndarray:
+        y = np.asarray(xs, dtype=np.int64) % self.b
+        return np.take(self.lut, self.low[y % self.m] + self.high[y // self.m], mode="wrap")
+
+    def run(self, lo: int, n: int) -> np.ndarray:
+        s, m = lo % self.b, self.m
+        if m >= self.b:
+            return self.tiled[s : s + n]
+        pieces = []
+        while n:
+            k = min(n, self.b - s)
+            r0 = s // m
+            grid = (self.high[r0 : (s + k - 1) // m + 1, None] + self.low).reshape(-1)
+            pieces.append(np.take(self.lut, grid[s - r0 * m : s - r0 * m + k], mode="wrap"))
+            n, s = n - k, 0
+        return pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
 
 
 def flatten_digits(blocks):
@@ -329,14 +381,21 @@ def char_eval(a: CharacterIndex, x: int, shape: GroupShape | None = None) -> com
 def char_values(a: CharacterIndex, shape: GroupShape | None = None,
                 xs=None) -> np.ndarray:
     """chi_a over xs (all of [0, X) by default), via exact root tables: per
-    nontrivial block, the root at sum_j a_j y_j mod p_i, read at x mod b_i."""
+    nontrivial block, the root at sum_j a_j y_j mod p_i, read at x mod b_i.
+    At given xs a block larger than the point count is read from its digit
+    halves (exponent_halves), never from a whole block table."""
     shape = shape or a.shape
     values = None
     for i, p in enumerate(shape.primes):
         ai = np.array(a.block(i), dtype=np.int64)
         if ai.any():
-            exps = shape.block_table(i, ai[:, None] * np.arange(p)) % p
-            block_vals = shape.block_at(i, roots_of_unity(p)[exps], xs)
+            if xs is None:
+                exps = shape.block_table(i, ai[:, None] * np.arange(p)) % p
+                block_vals = shape.block_at(i, roots_of_unity(p)[exps])
+            else:
+                halves = shape.exponent_halves(i, ai, len(xs))
+                block_vals = HalvesReader(shape.block_sizes[i], halves,
+                                          roots_of_unity(p)).at(xs)
             values = block_vals if values is None else values * block_vals
     if values is None:
         return np.ones(shape.X if xs is None else len(xs), dtype=np.complex128)

@@ -505,11 +505,9 @@ def csq_adversarial_game(learner, target, null_target, tau: float,
     return transcript
 
 
-def csq_bad_event_rate(orbit_target, shape: GroupShape, tau: float, q: int,
-                       samples: int, seed: int = 0) -> dict:
-    """Bad-event rate of FixedFeatureStrategy(shape, q) against the zero null over uniform
-    translates h(g + .) of a real h, and its q A / tau^2 ceiling.  No game is played: query
-    t's answer, Re or -Im of chi_a(g) hhat(a), is read from the spectrum."""
+def csq_preflight(tau: float, q: int, samples: int) -> None:
+    """The checks of csq_bad_event_rate's arguments, which need no table:
+    the CLI makes them before it sieves."""
     for name, count in (("samples", samples), ("q", q)):
         if count < 1:
             raise ArgumentError(f"{name} must be >= 1, got {count}")
@@ -517,6 +515,14 @@ def csq_bad_event_rate(orbit_target, shape: GroupShape, tau: float, q: int,
         raise ArgumentError(f"--tau must be > 0, got {tau}")
     if q * samples > SPECTRUM_CAP:
         raise ResourceError(f"--q {q} times --samples {samples} exceeds the cap {SPECTRUM_CAP}")
+
+
+def csq_bad_event_rate(orbit_target, shape: GroupShape, tau: float, q: int,
+                       samples: int, seed: int = 0) -> dict:
+    """Bad-event rate of FixedFeatureStrategy(shape, q) against the zero null over uniform
+    translates h(g + .) of a real h, and its q A / tau^2 ceiling.  No game is played: query
+    t's answer, Re or -Im of chi_a(g) hhat(a), is read from the spectrum."""
+    csq_preflight(tau, q, samples)
     spec = group_spectrum(orbit_target, shape)
     gs = np.random.default_rng(seed).integers(0, shape.X, size=samples)
     z = np.array([char_values(a, shape, gs) * spec.coeffs[a.flat]

@@ -16,8 +16,8 @@ import numpy as np
 
 from .arith import is_prime, nu_p_weight, primes_up_to, sieve
 from .errors import ArgumentError
-from .group import CharacterIndex, GroupShape, _rref_mod_p, char_values
-from .spectral import block_pairwise_sum
+from .group import CharacterIndex, GroupShape, HalvesReader, _rref_mod_p
+from .spectral import CHUNK, _char_chunks, _streamed_sum
 
 
 class SurjectivityError(ArgumentError):
@@ -118,10 +118,13 @@ def count_primes_digit_condition(L: LinearDigitMap, b, shape: GroupShape) -> dic
     X = shape.X
     ss = singular_series(L, b)
     table = sieve("von_mangoldt", X)
-    # the one block's table of L(digits of x) is already indexed by x
-    image = shape.block_table(0, L.rows[:, :, None] * np.arange(L.p)) % L.p
-    in_fiber = (image == b[:, None]).all(axis=0)
-
+    # row k of L is a digit-linear exponent, and x is in the fiber when every
+    # row's exponent is b_k: a lookup in arange(p) == b_k, one chunk at a time
+    span = min(CHUNK, X)
+    tests = [HalvesReader(X, shape.exponent_halves(0, row, CHUNK), np.arange(L.p) == bk, span)
+             for row, bk in zip(L.rows, b)]
+    in_fiber = np.concatenate([np.logical_and.reduce([t.run(lo, min(span, X - lo)) for t in tests])
+                               for lo in range(0, X, span)])
     count = int(np.count_nonzero((table.pp_exp == 1) & in_fiber))  # exponent 1: the primes
     lambda_sum = float(table.values[in_fiber].sum())
 
@@ -152,12 +155,15 @@ def lambda_balanced_correlation(a: CharacterIndex, shape: GroupShape) -> dict:
     p = shape.primes[0]
     X = shape.X
     table = sieve("von_mangoldt", X)
-    nu = np.full(X, float(nu_p_weight(1, p)))
-    nu[::p] = 0.0
-    nu[0] = 0.0
-    balanced = table.values - nu
-    chars = char_values(a, shape)
-    raw = block_pairwise_sum(balanced * chars)
+    weight = float(nu_p_weight(1, p))
+    chars = _char_chunks(a, shape)
+
+    def balanced(lo: int, n: int) -> np.ndarray:
+        nu = np.full(n, weight)
+        nu[-lo % p :: p] = 0.0
+        return (table.values[lo : lo + n] - nu) * chars(lo, n)
+
+    raw = _streamed_sum(X, balanced)
     return {"raw": raw, "normalized": raw / X, "X": X}
 
 

@@ -37,12 +37,15 @@ import numpy as np
 
 from .arith import ArithmeticTable
 from .errors import ArgumentError, ResourceError
-from .group import CharacterIndex, GroupShape, char_values, roots_of_unity
+from .group import (CharacterIndex, GroupShape, HalvesReader, _linear_halves, char_values,
+                    roots_of_unity)
 
 # in entries: the X of a full spectrum or truncated character, one CRT
 # block, one interval
 SPECTRUM_CAP = 1 << 26
 SUM_BLOCK = 4096
+# entries per chunk of a streamed sum, a multiple of SUM_BLOCK
+CHUNK = 8 * SUM_BLOCK
 # k digits of a prime p form one gemm run while p^k <= _RUN_BOUND; a
 # single digit is one up to p = _GEMM_PRIME_BOUND, above which numpy's FFT
 # is the cheaper transform
@@ -50,50 +53,88 @@ _RUN_BOUND = 32
 _GEMM_PRIME_BOUND = 128
 
 
-def _as_values(table, X: int) -> np.ndarray:
-    """The table as float64, or complex128 when it is complex; always finite.
-
-    Not a copy when the table already has that dtype: callers only read it.
-    """
-    if isinstance(table, ArithmeticTable):
-        values = table.values
-    else:
-        values = np.asarray(table)
+def _reader(table, X: int):
+    """(lo, n) -> entries [lo, lo + n) of the table as float64, or complex128
+    when it is complex, checked finite: an int8 table is widened one read at
+    a time, and a read is not a copy when the table has that dtype."""
+    values = table.values if isinstance(table, ArithmeticTable) else np.asarray(table)
     if values.shape[0] != X:
         raise ArgumentError(f"table length {values.shape[0]} != X = {X}")
-    values = values.astype(np.complex128 if np.iscomplexobj(values) else np.float64,
-                           copy=False)
-    if not np.isfinite(values).all():
-        raise ArgumentError("table holds NaN or infinite values")
-    return values
+    dtype = np.complex128 if np.iscomplexobj(values) else np.float64
+
+    def read(lo: int, n: int) -> np.ndarray:
+        part = values[lo : lo + n].astype(dtype, copy=False)
+        if not np.isfinite(part).all():
+            raise ArgumentError("table holds NaN or infinite values")
+        return part
+
+    return read
+
+
+def _as_values(table, X: int) -> np.ndarray:
+    """The whole table as one _reader read; callers only read it."""
+    return _reader(table, X)(0, X)
+
+
+def _fold(rows: np.ndarray) -> np.ndarray:
+    # rows: (nblocks, width); fold width down to 1 by pairing
+    while rows.shape[1] > 1:
+        if rows.shape[1] % 2:
+            rows = np.concatenate(
+                [rows, np.zeros((rows.shape[0], 1), dtype=rows.dtype)], axis=1
+            )
+        rows = rows[:, ::2] + rows[:, 1::2]
+    return rows[:, 0]
+
+
+def _block_sums(arr: np.ndarray) -> np.ndarray:
+    """Pairwise sum of each 4096-entry block, the last one padded with 0."""
+    arr = np.asarray(arr, dtype=np.complex128)
+    pad = (-arr.size) % SUM_BLOCK
+    if pad:
+        arr = np.concatenate([arr, np.zeros(pad, dtype=arr.dtype)])
+    return _fold(arr.reshape(-1, SUM_BLOCK))
+
+
+def _streamed_sum(X: int, term) -> complex:
+    """Sum of the length-X array whose entries [lo, lo + n) are term(lo, n),
+    over the CHUNK-entry chunks of [0, X) in order, holding one chunk and the
+    block sums: the per-block pairwise sums, then one pairwise fold of them.
+    CHUNK is a multiple of SUM_BLOCK, so the tree depends on X alone."""
+    sums = np.concatenate([_block_sums(term(lo, min(CHUNK, X - lo)))
+                           for lo in range(0, X, CHUNK)])
+    return complex(_fold(sums.reshape(1, -1))[0])
 
 
 def block_pairwise_sum(arr: np.ndarray) -> complex:
-    """Pairwise reduction in fixed 4096-element blocks.
+    """Pairwise reduction in fixed 4096-element blocks, as _streamed_sum.
 
     The summation tree depends only on the array length, so results are
     bit-stable regardless of how callers partition work.
     """
-    arr = np.asarray(arr, dtype=np.complex128).ravel()
+    arr = np.ravel(arr)
+    return _streamed_sum(arr.size, lambda lo, n: arr[lo : lo + n]) if arr.size else 0j
 
-    def fold(rows: np.ndarray) -> np.ndarray:
-        # rows: (nblocks, width); fold width down to 1 by pairing
-        while rows.shape[1] > 1:
-            if rows.shape[1] % 2:
-                rows = np.concatenate(
-                    [rows, np.zeros((rows.shape[0], 1), dtype=rows.dtype)], axis=1
-                )
-            rows = rows[:, ::2] + rows[:, 1::2]
-        return rows[:, 0]
 
-    n = arr.size
-    if n == 0:
-        return 0j
-    pad = (-n) % SUM_BLOCK
-    if pad:
-        arr = np.concatenate([arr, np.zeros(pad, dtype=arr.dtype)])
-    sums = fold(arr.reshape(-1, SUM_BLOCK))
-    return complex(fold(sums.reshape(1, -1))[0])
+def _char_chunks(a: CharacterIndex, shape: GroupShape):
+    """(lo, n) -> chi_a over [lo, lo + n), n <= CHUNK: per nontrivial block a
+    HalvesReader of its exponent halves (one table while b_i fits in a
+    chunk), multiplied in block order as in char_values, so every value is
+    bit-identical to char_values'."""
+    readers = [HalvesReader(b, shape.exponent_halves(i, a.block(i), CHUNK),
+                            roots_of_unity(p), min(CHUNK, shape.X))
+               for i, (p, b) in enumerate(zip(shape.primes, shape.block_sizes))
+               if any(a.block(i))]
+
+    def run(lo: int, n: int) -> np.ndarray:
+        if not readers:
+            return np.ones(n, dtype=np.complex128)
+        values = readers[0].run(lo, n)
+        for reader in readers[1:]:
+            values = values * reader.run(lo, n)
+        return values
+
+    return run
 
 
 @dataclass
@@ -193,10 +234,17 @@ def inverse_transform(spec: Spectrum) -> np.ndarray:
 
 
 def correlation(table, a: CharacterIndex, shape: GroupShape) -> complex:
-    """Single coefficient fhat(a), streaming, fixed summation order."""
-    values = _as_values(table, shape.X)
-    chars = char_values(a, shape)
-    return block_pairwise_sum(values * np.conj(chars)) / shape.X
+    """Single coefficient fhat(a): (1/X) block_pairwise_sum of f conj(chi_a),
+    over whole arrays up to one chunk and streamed above, so an int8 table
+    is never widened whole.  Complex products are not bitwise commutative:
+    a chunk takes conj(chi_a) first, the order numpy uses for the
+    whole-array product when it reuses the temporary conj(chi_a) as its
+    output, which it does from 2^14 entries on."""
+    if shape.X <= CHUNK:
+        return block_pairwise_sum(_as_values(table, shape.X)
+                                  * np.conj(char_values(a, shape))) / shape.X
+    read, chars = _reader(table, shape.X), _char_chunks(a, shape)
+    return _streamed_sum(shape.X, lambda lo, n: np.conj(chars(lo, n)) * read(lo, n)) / shape.X
 
 
 # -- Dirichlet-type kernel ------------------------------------------------
@@ -408,11 +456,13 @@ def interval_l1_sum(a: CharacterIndex, shape: GroupShape, lo: int, hi: int):
     if hi - lo > SPECTRUM_CAP:
         raise ResourceError(f"interval length {hi - lo} exceeds the cap {SPECTRUM_CAP}")
     mags_by_k = _block_magnitudes_by_k(a, shape)
-    ks = np.arange(lo, hi, dtype=np.int64)
-    prod = np.ones(hi - lo, dtype=np.float64)
-    for i, mags in enumerate(mags_by_k):
-        prod *= shape.block_at(i, mags, ks)
-    value = float(prod.sum())
+    value = 0.0
+    for start in range(lo, hi, CHUNK):  # np.sum per chunk, chunk sums in order
+        ks = np.arange(start, min(start + CHUNK, hi), dtype=np.int64)
+        prod = np.ones(ks.size, dtype=np.float64)
+        for i, mags in enumerate(mags_by_k):
+            prod *= shape.block_at(i, mags, ks)
+        value += float(prod.sum())
     reference = math.sqrt(shape.primes[-1] * (hi - lo))
     return {"sum": value, "reference": reference, "ratio": value / reference}
 
@@ -518,12 +568,13 @@ def _signed_order(limit: int):
     return seq
 
 
-def _additive_coefficient(values: np.ndarray, theta: Fraction, X: int) -> complex:
-    num = theta.numerator % theta.denominator
+def _additive_coefficient(read, theta: Fraction, X: int) -> complex:
+    """(1/X) sum_x f(x) e(-theta x), f given as a _reader, streamed: the
+    phase index (-num x) mod den is the linear form of _linear_halves."""
     den = theta.denominator
-    idx = (-num * np.arange(X, dtype=np.int64)) % den
-    phases = roots_of_unity(den)[idx]
-    return block_pairwise_sum(values * phases) / X
+    halves = _linear_halves(-theta.numerator % den, den, CHUNK)
+    phases = HalvesReader(den, halves, roots_of_unity(den), min(CHUNK, X))
+    return _streamed_sum(X, lambda lo, n: read(lo, n) * phases.run(lo, n)) / X
 
 
 def katai_witness(table, a: CharacterIndex, shape: GroupShape,
@@ -538,8 +589,8 @@ def katai_witness(table, a: CharacterIndex, shape: GroupShape,
     """
     if budget < 1:
         raise ArgumentError(f"budget must be >= 1, got {budget}")
-    values = _as_values(table, shape.X)
-    observed = abs(correlation(values, a, shape))
+    read = _reader(table, shape.X)
+    observed = abs(correlation(table, a, shape))
     if delta is None:
         delta = observed / 2
     if not 0 < delta < 0.5:
@@ -585,7 +636,7 @@ def katai_witness(table, a: CharacterIndex, shape: GroupShape,
             if s:
                 theta += Fraction(s, shape.primes[i] ** (j + 1))
                 terms.append((i, j, s))
-        achieved = abs(_additive_coefficient(values, theta, shape.X))
+        achieved = abs(_additive_coefficient(read, theta, shape.X))
         evaluations += shape.X
         candidates += 1
         witness = KataiWitness(
