@@ -39,9 +39,16 @@ class AlignmentResult:
         }
 
 
+def _power(spec: Spectrum) -> np.ndarray:
+    """|fhat(a)|^2 in one array: np.abs squared in place, as x ** 2 is x * x."""
+    power = np.abs(spec.coeffs)
+    power *= power
+    return power
+
+
 def alignment_full_group(spec: Spectrum) -> AlignmentResult:
     """max_a |fhat(a)|^2; ties broken toward the smallest flat index."""
-    power = np.abs(spec.coeffs) ** 2
+    power = _power(spec)
     idx = int(np.argmax(power))
     witness = CharacterIndex.from_flat(idx, spec.shape)
     return AlignmentResult(float(power[idx]), witness, "full_group")
@@ -78,7 +85,7 @@ def alignment_semidirect(spec: Spectrum, shape: GroupShape | None = None) -> Ali
         raise ResourceError(f"semidirect counts of {n} int16 entries exceed {8 * SPECTRUM_CAP}")
     keys = _orbit_minima(shape)
     sizes = np.bincount(keys)
-    masses = np.bincount(keys, weights=np.abs(spec.coeffs) ** 2)
+    masses = np.bincount(keys, weights=_power(spec))
     reps = np.flatnonzero(sizes)
     values = masses[reps] / sizes[reps]
     best = int(np.argmax(values))
@@ -134,9 +141,8 @@ def alignment_subgroup(spec: Spectrum, shape: GroupShape,
     the spectral mass in the coset.  The syndromes number the cosets
     0 .. subgroup_order - 1; ties go to the coset that holds the smallest
     character index, which is the witness."""
-    power = np.abs(spec.coeffs) ** 2
     keys = sub.syndromes()
-    masses = np.bincount(keys, weights=power, minlength=sub.subgroup_order)
+    masses = np.bincount(keys, weights=_power(spec), minlength=sub.subgroup_order)
     best = masses.max()
     rep = CharacterIndex.from_flat(int(np.argmax(masses[keys] == best)), shape)
     return AlignmentResult(float(best), rep, "subgroup")

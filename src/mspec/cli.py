@@ -22,6 +22,7 @@ from .arith import dump_table, sieve
 from .errors import ArgumentError, MspecError, ResourceError
 from .group import CharacterIndex, GroupShape, parse_shape
 from .spectral import (
+    CHUNK,
     SPECTRUM_CAP,
     ap_l1_sum,
     char_l1_norm,
@@ -89,16 +90,32 @@ def _function_values(name: str, X: int) -> np.ndarray:
     return sieve(kind, X).values
 
 
-def _table(args, shape: GroupShape, cap=None, group=(), widen=True) -> np.ndarray:
-    """The --function table on shape's X, as float64 or (widen=False) as the
-    sieve's own dtype: the CLI's one sieve call, made only once shape.X and
-    the X of each shape in ``group`` are within ``cap``, the cap of the
-    library call the table feeds (None: the sieve's own cap)."""
+def _table(args, shape: GroupShape, cap=None, group=()) -> np.ndarray:
+    """The --function table on shape's X, in the sieve's own dtype (the
+    library widens an int8 table a chunk at a time): the CLI's one sieve
+    call, made only once shape.X and the X of each shape in ``group`` are
+    within ``cap``, the cap of the library call the table feeds (None: the
+    sieve's own cap)."""
     X = max(s.X for s in (shape, *group))
     if cap is not None and X > cap:
         raise ResourceError(f"X = {X} exceeds the {args.command} cap {cap}")
-    values = _function_values(args.function, shape.X)
-    return values.astype(np.float64) if widen else values
+    return _function_values(args.function, shape.X)
+
+
+def _top_magnitudes(coeffs: np.ndarray, k: int, start: int = 0):
+    """(indices, magnitudes) of the k largest |coeffs[i]|, i >= start, ties to
+    the smaller index, with no X-sized array: the candidates, per CHUNK those
+    at least its k-th largest, hold the top k, and one stable sort ranks them."""
+    indices, mags = [], []
+    for lo in range(start, coeffs.size, CHUNK):
+        part = np.abs(coeffs[lo : lo + CHUNK])
+        i = max(part.size - k, 0)
+        keep = np.flatnonzero(part >= np.partition(part, i)[i])
+        indices.append(keep + lo)
+        mags.append(part[keep])
+    indices, mags = np.concatenate(indices), np.concatenate(mags)
+    order = np.argsort(-mags, kind="stable")[:k]
+    return indices[order], mags[order]
 
 
 def _add_common(p: argparse.ArgumentParser, shape=True, function=True, plot=False):
@@ -200,21 +217,14 @@ def _cmd_sieve(args):
 def _cmd_spectrum(args):
     shape = parse_shape(args.shape)
     spec = group_spectrum(_table(args, shape, SPECTRUM_CAP), shape)
-    mags = np.abs(spec.coeffs)
-    # the k largest magnitudes, ties to the smaller index, without sorting
-    # all X: keep every entry at least the k-th largest, sort only those
-    k = min(args.top, mags.size)
-    kth = np.partition(mags, mags.size - k)[mags.size - k]
-    candidates = np.flatnonzero(mags >= kth)
-    order = candidates[np.argsort(-mags[candidates], kind="stable")[:k]]
     top = [
         {
             "flat": int(idx),
             "digits": list(CharacterIndex.from_flat(int(idx), shape).digits),
             "coefficient": _cnum(spec.coeffs[idx]),
-            "magnitude": float(mags[idx]),
+            "magnitude": float(mag),
         }
-        for idx in order
+        for idx, mag in zip(*_top_magnitudes(spec.coeffs, args.top))
     ]
     if args.plot_data:
         dump_spectrum_csv(spec, args.plot_data)
@@ -224,7 +234,7 @@ def _cmd_spectrum(args):
 def _cmd_correlate(args):
     shape = parse_shape(args.shape)
     a = CharacterIndex.from_flat(args.char, shape)
-    c = correlation(_table(args, shape, widen=False), a, shape)
+    c = correlation(_table(args, shape), a, shape)
     return {"char": args.char, "digits": list(a.digits),
             "coefficient": _cnum(c), "magnitude": float(abs(c))}
 
@@ -252,10 +262,10 @@ def _cmd_gram_oracle(args):
 
 def _cmd_katai(args):
     shape = parse_shape(args.shape)
-    values = _table(args, shape, SPECTRUM_CAP if args.char is None else None, widen=False)
+    values = _table(args, shape, SPECTRUM_CAP if args.char is None else None)
     flat = args.char
-    if flat is None:
-        flat = int(np.argmax(np.abs(group_spectrum(values, shape).coeffs[1:]))) + 1
+    if flat is None:  # the largest |fhat(a)| over a >= 1
+        flat = int(_top_magnitudes(group_spectrum(values, shape).coeffs, 1, 1)[0][0])
     w = katai_witness(values, CharacterIndex.from_flat(flat, shape), shape,
                       args.delta, args.budget)
     return {**vars(w), "char": flat, "terms": [list(t) for t in w.terms],
@@ -341,9 +351,8 @@ def _cmd_decay_table(args):
     shapes = [GroupShape([args.p], [d]) for d in args.dims]
     rows = []
     for d, shape in zip(args.dims, shapes):
-        top = np.abs(group_spectrum(_table(args, shape, SPECTRUM_CAP, shapes),
-                                    shape).coeffs).max()
-        rows.append((d, shape.X, float(top)))
+        spec = group_spectrum(_table(args, shape, SPECTRUM_CAP, shapes), shape)
+        rows.append((d, shape.X, float(_top_magnitudes(spec.coeffs, 1)[1][0])))
     result = {"p": args.p, "table": [list(r) for r in rows],
               "strictly_decreasing": all(rows[i][2] > rows[i + 1][2]
                                          for i in range(len(rows) - 1))}

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -25,18 +25,38 @@ from .arith import is_prime
 from .errors import ArgumentError
 
 MAX_X = 1 << 62
+# entries per chunk of a streamed pass, a multiple of spectral.SUM_BLOCK; also
+# the longest roots-of-unity table that is built and cached
+CHUNK = 1 << 15
+
+
+def _roots(q: int, k) -> np.ndarray:
+    # e(k / q) at int64 k in [0, q), from e(min(k, q - k) / q): entry q - k is
+    # the exact conjugate of entry k
+    flip = k > q // 2
+    roots = np.exp(2j * np.pi * np.where(flip, q - k, k) / q)
+    return np.where(flip, roots.conj(), roots)
 
 
 @lru_cache(maxsize=64)
-def roots_of_unity(q: int) -> np.ndarray:
-    """The q-th roots of unity with entry q-u the exact conjugate of entry u."""
-    roots = np.empty(q, dtype=np.complex128)
-    half = q // 2
-    k = np.arange(half + 1)
-    roots[: half + 1] = np.exp(2j * np.pi * k / q)
-    roots[half + 1 :] = np.conj(roots[1 : q - half][::-1])
+def _root_table(q: int) -> np.ndarray:
+    roots = _roots(q, np.arange(q))
     roots.setflags(write=False)
     return roots
+
+
+def roots_of_unity(q: int) -> np.ndarray:
+    """The q-th roots of unity with entry q-u the exact conjugate of entry u;
+    a table of at most CHUNK entries is cached, a longer one built per call."""
+    return _root_table(q) if q <= CHUNK else _roots(q, np.arange(q))
+
+
+def roots_at(q: int, u) -> np.ndarray:
+    """Entries u mod q of roots_of_unity(q), for int64 u in [0, 2q): read
+    from the table when q <= CHUNK, else evaluated at u alone, bit for bit."""
+    if q <= CHUNK:
+        return np.take(roots_of_unity(q), u, mode="wrap")
+    return _roots(q, np.asarray(u, dtype=np.int64) % q)
 
 
 class GroupShape:
@@ -262,21 +282,22 @@ def _linear_halves(c: int, q: int, whole: int):
 
 
 class HalvesReader:
-    """lut[E(x mod b)] for E(y) = low[y mod m] + high[y div m] mod len(lut),
-    at sample points (at) or over runs of up to span consecutive x (run).
-    One table (m >= b) is tiled to span + b entries once, so a run is a
-    slice.  Otherwise a run, cut where x mod b wraps, is whole rows of the
-    (len(high), m) grid: a broadcast add high[rows, None] + low, one
-    wrapped take from lut (the sum is below 2 len(lut)) and a slice."""
+    """take(E(x mod b)) for E(y) = low[y mod m] + high[y div m], where take
+    maps an int64 array of sums E to values (roots_at or a wrapped np.take
+    from a table, for exponents mod q and sums below 2q), at sample points
+    (at) or over runs of up to span consecutive x (run).  One table (m >= b) is tiled to span + b
+    entries once, so a run is a slice.  Otherwise a run, cut where x mod b
+    wraps, is whole rows of the (len(high), m) grid: a broadcast add
+    high[rows, None] + low, one take and a slice."""
 
-    def __init__(self, b: int, halves, lut: np.ndarray, span: int = 0):
-        self.b, (self.m, self.low, self.high), self.lut = b, halves, lut
+    def __init__(self, b: int, halves, take, span: int = 0):
+        self.b, (self.m, self.low, self.high), self.take = b, halves, take
         if span and self.m >= b:
-            self.tiled = np.resize(lut[self.low], span + b)
+            self.tiled = np.resize(take(self.low), span + b)
 
     def at(self, xs) -> np.ndarray:
         y = np.asarray(xs, dtype=np.int64) % self.b
-        return np.take(self.lut, self.low[y % self.m] + self.high[y // self.m], mode="wrap")
+        return self.take(self.low[y % self.m] + self.high[y // self.m])
 
     def run(self, lo: int, n: int) -> np.ndarray:
         s, m = lo % self.b, self.m
@@ -287,7 +308,7 @@ class HalvesReader:
             k = min(n, self.b - s)
             r0 = s // m
             grid = (self.high[r0 : (s + k - 1) // m + 1, None] + self.low).reshape(-1)
-            pieces.append(np.take(self.lut, grid[s - r0 * m : s - r0 * m + k], mode="wrap"))
+            pieces.append(self.take(grid[s - r0 * m : s - r0 * m + k]))
             n, s = n - k, 0
         return pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
 
@@ -374,7 +395,7 @@ def char_eval(a: CharacterIndex, x: int, shape: GroupShape | None = None) -> com
     for i, p in enumerate(shape.primes):
         s = shape.block_slices[i]
         e = sum(ai * xi for ai, xi in zip(a.digits[s], xd[s])) % p
-        value *= roots_of_unity(p)[e]
+        value *= roots_at(p, e)
     return value
 
 
@@ -391,11 +412,11 @@ def char_values(a: CharacterIndex, shape: GroupShape | None = None,
         if ai.any():
             if xs is None:
                 exps = shape.block_table(i, ai[:, None] * np.arange(p)) % p
-                block_vals = shape.block_at(i, roots_of_unity(p)[exps])
+                block_vals = shape.block_at(i, roots_at(p, exps))
             else:
                 halves = shape.exponent_halves(i, ai, len(xs))
                 block_vals = HalvesReader(shape.block_sizes[i], halves,
-                                          roots_of_unity(p)).at(xs)
+                                          partial(roots_at, p)).at(xs)
             values = block_vals if values is None else values * block_vals
     if values is None:
         return np.ones(shape.X if xs is None else len(xs), dtype=np.complex128)

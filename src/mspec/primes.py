@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
@@ -121,7 +122,8 @@ def count_primes_digit_condition(L: LinearDigitMap, b, shape: GroupShape) -> dic
     # row k of L is a digit-linear exponent, and x is in the fiber when every
     # row's exponent is b_k: a lookup in arange(p) == b_k, one chunk at a time
     span = min(CHUNK, X)
-    tests = [HalvesReader(X, shape.exponent_halves(0, row, CHUNK), np.arange(L.p) == bk, span)
+    tests = [HalvesReader(X, shape.exponent_halves(0, row, CHUNK),
+                          partial(np.take, np.arange(L.p) == bk, mode="wrap"), span)
              for row, bk in zip(L.rows, b)]
     in_fiber = np.concatenate([np.logical_and.reduce([t.run(lo, min(span, X - lo)) for t in tests])
                                for lo in range(0, X, span)])

@@ -10,7 +10,11 @@ the run's digit vectors A, as one gemm.  Each gemm reads the run as the
 most significant digits and writes it as the least significant ones, so
 the layout rotates by the run's length and is back in order after the
 last run.  A prime above 128 takes one numpy FFT per digit instead, with
-the same rotation; there the FFT is the cheaper of the two.
+the same rotation; there the FFT is the cheaper of the two.  Each run
+reads one of two X-entry buffers, allocated once, and writes the other;
+for a real table on a shape of 2s they are the float halves of the
+result.  With the table read a chunk at a time, a full spectrum of an
+int8 table needs 17 B/X on a 2-group and 33 B/X otherwise, table included.
 
 The additive-Fourier coefficients of a digital character factor through
 the CRT into one table per block, and within a block into one
@@ -31,21 +35,19 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
 from .arith import ArithmeticTable
 from .errors import ArgumentError, ResourceError
-from .group import (CharacterIndex, GroupShape, HalvesReader, _linear_halves, char_values,
-                    roots_of_unity)
+from .group import (CHUNK, CharacterIndex, GroupShape, HalvesReader, _linear_halves,
+                    char_values, roots_at, roots_of_unity)
 
 # in entries: the X of a full spectrum or truncated character, one CRT
 # block, one interval
 SPECTRUM_CAP = 1 << 26
 SUM_BLOCK = 4096
-# entries per chunk of a streamed sum, a multiple of SUM_BLOCK
-CHUNK = 8 * SUM_BLOCK
 # k digits of a prime p form one gemm run while p^k <= _RUN_BOUND; a
 # single digit is one up to p = _GEMM_PRIME_BOUND, above which numpy's FFT
 # is the cheaper transform
@@ -53,14 +55,19 @@ _RUN_BOUND = 32
 _GEMM_PRIME_BOUND = 128
 
 
+def _table_values(table, X: int):
+    """(the table's array, checked to hold X entries, the dtype of its reads)."""
+    values = table.values if isinstance(table, ArithmeticTable) else np.asarray(table)
+    if values.shape[0] != X:
+        raise ArgumentError(f"table length {values.shape[0]} != X = {X}")
+    return values, np.dtype(np.complex128 if np.iscomplexobj(values) else np.float64)
+
+
 def _reader(table, X: int):
     """(lo, n) -> entries [lo, lo + n) of the table as float64, or complex128
     when it is complex, checked finite: an int8 table is widened one read at
     a time, and a read is not a copy when the table has that dtype."""
-    values = table.values if isinstance(table, ArithmeticTable) else np.asarray(table)
-    if values.shape[0] != X:
-        raise ArgumentError(f"table length {values.shape[0]} != X = {X}")
-    dtype = np.complex128 if np.iscomplexobj(values) else np.float64
+    values, dtype = _table_values(table, X)
 
     def read(lo: int, n: int) -> np.ndarray:
         part = values[lo : lo + n].astype(dtype, copy=False)
@@ -122,7 +129,7 @@ def _char_chunks(a: CharacterIndex, shape: GroupShape):
     chunk), multiplied in block order as in char_values, so every value is
     bit-identical to char_values'."""
     readers = [HalvesReader(b, shape.exponent_halves(i, a.block(i), CHUNK),
-                            roots_of_unity(p), min(CHUNK, shape.X))
+                            partial(roots_at, p), min(CHUNK, shape.X))
                for i, (p, b) in enumerate(zip(shape.primes, shape.block_sizes))
                if any(a.block(i))]
 
@@ -135,6 +142,18 @@ def _char_chunks(a: CharacterIndex, shape: GroupShape):
         return values
 
     return run
+
+
+def _index_chunks(shape: GroupShape):
+    """(lo, n) -> flat_index_of x in [lo, lo + n), n <= CHUNK: a slice for
+    one block, else sum_i B_i (x mod b_i), per block a HalvesReader of
+    y -> B_i y (one tiled table while b_i fits in a chunk)."""
+    if shape.r == 1:
+        return lambda lo, n: slice(lo, lo + n)
+    readers = [HalvesReader(b, _linear_halves(1, b, CHUNK), partial(np.multiply, B),
+                            min(CHUNK, shape.X))
+               for b, B in zip(shape.block_sizes, shape.block_strides)]
+    return lambda lo, n: sum(reader.run(lo, n) for reader in readers)
 
 
 @dataclass
@@ -177,9 +196,11 @@ def _runs(shape: GroupShape) -> list:
     return runs
 
 
-def _axis_transform(t: np.ndarray, shape: GroupShape, sign: int) -> np.ndarray:
+def _axis_transform(t: np.ndarray, bufs: list, shape: GroupShape, sign: int):
     """Unnormalized DFT with kernel e(sign * a_j x_j / p_j) along every digit
-    of the flat character layout; t is read, never written.
+    of the flat character layout.  t is read, never written; run j writes
+    bufs[j % 2] (a None entry becomes X complex128 when first written), which
+    must not hold t.  Returns the result and the buffer it does not hold.
 
     Runs go from the most significant down.  With n = p^k the run's size,
     t.reshape(n, X // n) puts the run in the row index, so one gemm
@@ -187,50 +208,91 @@ def _axis_transform(t: np.ndarray, shape: GroupShape, sign: int) -> np.ndarray:
     writes a contiguous (X // n, n) result: the run becomes the least
     significant digits and every other digit moves up by k.  After the last
     run the rotations add up to a full turn and the layout is the original
-    one, with no transpose or index.  A real t times a complex matrix is one
-    real gemm against the matrix viewed as (n, 2n) floats, whose result read
-    as complex is the product; a real t stays real through p = 2.  A prime
+    one, with no transpose or index.  Real data stays real, in the first X
+    floats of a buffer, through p = 2; a real t times a complex matrix is
+    one real gemm against the matrix viewed as (n, 2n) floats, written over
+    the buffer's 2X floats, which read as complex are the product.  A prime
     above _GEMM_PRIME_BOUND is one np.fft.fft of length p along the same
-    rows, with the same rotation.
+    rows, with the same rotation, a block of rows at a time (np.fft has no
+    out= before numpy 2.0).
     """
-    for p, k in reversed(_runs(shape)):
-        n = p**k
+    runs = _runs(shape)[::-1]
+    for j, (p, k) in enumerate(runs):
+        if bufs[j % 2] is None:
+            bufs[j % 2] = np.empty(shape.X, dtype=np.complex128)
+        n, buf = p**k, bufs[j % 2]
         v = t.reshape(n, -1).T
-        if p > _GEMM_PRIME_BOUND:
-            t = np.fft.fft(v, axis=1) if sign < 0 else np.fft.ifft(v, axis=1, norm="forward")
+        if p > _GEMM_PRIME_BOUND:  # about a CHUNK of entries per fft call
+            fft = np.fft.fft if sign < 0 else partial(np.fft.ifft, norm="forward")
+            rows, out = max(1, CHUNK // n), buf.reshape(-1, n)
+            for r in range(0, out.shape[0], rows):
+                out[r : r + rows] = fft(v[r : r + rows], axis=1)
+            t = buf
+            continue
+        m = _kron_dft(p, k, sign)
+        if t.dtype == np.float64 and m.dtype == np.complex128:
+            np.matmul(v, m.view(np.float64), out=buf.view(np.float64).reshape(-1, 2 * n))
+            t = buf
         else:
-            m = _kron_dft(p, k, sign)
-            if t.dtype == np.float64 and m.dtype == np.complex128:
-                t = (v @ m.view(np.float64)).view(np.complex128)
-            else:
-                t = v @ m
-        t = t.reshape(-1)
-    return t
+            t = buf.view(t.dtype)[: shape.X]
+            np.matmul(v, m, out=t.reshape(-1, n))
+    return t, bufs[len(runs) % 2]
 
 
 def group_spectrum(table, shape: GroupShape, cap: int = SPECTRUM_CAP) -> Spectrum:
-    """All coefficients (1/X) sum_x f(x) conj(chi_a(x)) via axis DFTs."""
-    if shape.X > cap:
+    """All coefficients (1/X) sum_x f(x) conj(chi_a(x)) via axis DFTs, in
+    the result and at most one more X-entry complex buffer: the buffers are
+    ordered so that the last run writes the result, allocated first, and the
+    one freed is the later one.  A one-block table of its read dtype is read
+    by the first run, any other a CHUNK at a time, at its layout index, into
+    the buffer the first run does not write.  A real table on a shape of 2s
+    stays real in the float halves of the result and ends in the first; it
+    is divided by X and widened in place a chunk at a time through a copy,
+    from the top down, so no unread float is overwritten."""
+    X = shape.X
+    if X > cap:
         raise ResourceError(
-            f"X = {shape.X} exceeds the full-spectrum cap {cap}; "
+            f"X = {X} exceeds the full-spectrum cap {cap}; "
             "use correlation() for single coefficients"
         )
-    values = _as_values(table, shape.X)
-    if shape.r > 1:  # with one block the layout index is x itself
-        scattered = np.empty_like(values)
-        scattered[shape.flat_index_of(None)] = values
-        values = scattered
-    coeffs = _axis_transform(values, shape, -1)
-    del values
-    coeffs /= shape.X
-    return Spectrum(shape, coeffs.astype(np.complex128, copy=False))
+    values, dtype = _table_values(table, X)
+    read = _reader(values, X)
+    coeffs = np.empty(X, dtype=np.complex128)
+    real = dtype == np.float64 and set(shape.primes) == {2}
+    bufs = [coeffs.view(np.float64)[:X], coeffs.view(np.float64)[X:]] if real else [coeffs, None]
+    if len(_runs(shape)) % 2 == 0:
+        bufs.reverse()
+    if shape.r == 1 and values.dtype == dtype:
+        t = read(0, X)
+    else:  # into the buffer the first run does not write
+        if bufs[1] is None:
+            bufs[1] = np.empty(X, dtype=np.complex128)
+        t, index = bufs[1].view(dtype)[:X], _index_chunks(shape)
+        for lo in range(0, X, CHUNK):
+            n = min(CHUNK, X - lo)
+            t[index(lo, n)] = read(lo, n)
+    _axis_transform(t, bufs, shape, -1)
+    if not real:
+        coeffs /= X
+        return Spectrum(shape, coeffs)
+    floats = coeffs.view(np.float64)[:X]
+    for lo in reversed(range(0, X, CHUNK)):  # complex entry i covers floats 2i, 2i + 1
+        coeffs[lo : lo + CHUNK] = floats[lo : lo + CHUNK] / X
+    return Spectrum(shape, coeffs)
 
 
 def inverse_transform(spec: Spectrum) -> np.ndarray:
-    """f(x) = sum_a fhat(a) chi_a(x); exact inverse of group_spectrum."""
+    """f(x) = sum_a fhat(a) chi_a(x); exact inverse of group_spectrum.  A
+    multi-block result is gathered into the buffer the last run left free."""
     shape = spec.shape
-    scattered = _axis_transform(spec.coeffs, shape, 1)
-    return scattered if shape.r == 1 else scattered[shape.flat_index_of(None)]
+    t, free = _axis_transform(spec.coeffs, [None, None], shape, 1)
+    if shape.r == 1:
+        return t
+    index = _index_chunks(shape)
+    for lo in range(0, shape.X, CHUNK):
+        n = min(CHUNK, shape.X - lo)
+        free[lo : lo + n] = t[index(lo, n)]
+    return free
 
 
 def correlation(table, a: CharacterIndex, shape: GroupShape) -> complex:
@@ -573,7 +635,7 @@ def _additive_coefficient(read, theta: Fraction, X: int) -> complex:
     phase index (-num x) mod den is the linear form of _linear_halves."""
     den = theta.denominator
     halves = _linear_halves(-theta.numerator % den, den, CHUNK)
-    phases = HalvesReader(den, halves, roots_of_unity(den), min(CHUNK, X))
+    phases = HalvesReader(den, halves, partial(roots_at, den), min(CHUNK, X))
     return _streamed_sum(X, lambda lo, n: read(lo, n) * phases.run(lo, n)) / X
 
 

@@ -53,6 +53,7 @@ def test_spectrum_contract(capsys):
     ("2^2*3^2*5", "character", 7),   # two nonzero magnitudes, X - 2 tied zeros
     ("2^6", "mobius", 12),
     ("3^4", "liouville", 100),       # --top larger than X
+    ("2^17", "character", 5),        # zeros tied across every chunk boundary
 ])
 def test_spectrum_top_matches_stable_sort(text, table, top, capsys, monkeypatch):
     shape = parse_shape(text)
