@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ArgumentError, ResourceError
 from .group import CharacterIndex, GroupShape, _rref_mod_p, flatten_digits
-from .spectral import SPECTRUM_CAP, Spectrum, _as_values
+from .spectral import SPECTRUM_CAP, Spectrum, _reader
 
 GRAM_CAP = 4096
 
@@ -71,8 +71,8 @@ def _orbit_minima(shape: GroupShape) -> np.ndarray:
         for t in range(p - 1, 0, -1):
             out += t * powers[low] * repunits[counts[t]]
             low += counts[t]
-        tables.append(out * shape.block_strides[i])
-    return shape.block_sum(tables, strides=shape.block_strides)
+        tables.append(np.multiply(out, shape.block_strides[i], out=out))
+    return shape.layout_sum(tables)
 
 
 def alignment_semidirect(spec: Spectrum, shape: GroupShape | None = None) -> AlignmentResult:
@@ -132,7 +132,7 @@ class SubgroupSpec:
             residues = shape.block_table(i, rows[:, :, None] * np.arange(p)) % p
             tables.append(mult * p ** np.arange(len(rows)) @ residues)
             mult *= p ** len(rows)
-        return shape.block_sum(tables, strides=shape.block_strides)
+        return shape.layout_sum(tables)
 
 
 def alignment_subgroup(spec: Spectrum, shape: GroupShape,
@@ -162,7 +162,7 @@ def alignment_gram_oracle(table, shape: GroupShape, elements) -> float:
     elements = [int(g) for g in elements]
     if not elements:
         raise ArgumentError("elements must be nonempty")
-    values = _as_values(table, shape.X)
+    values = _reader(table, shape.X)(0, shape.X)
     rows = np.empty((len(elements), shape.X), dtype=values.dtype)
     for r, g in enumerate(elements):
         rows[r] = values[shape.translation(g)]

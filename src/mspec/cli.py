@@ -186,7 +186,7 @@ def _shape_literal(text: str) -> str:
     return text
 
 
-def _write_plot(path: str, header: list, rows: list) -> None:
+def _write_plot(path: str, header: list, rows) -> None:
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
@@ -210,7 +210,7 @@ def _cmd_sieve(args):
     }
     if args.plot_data:
         _write_plot(args.plot_data, ["n", "value"],
-                    [(n, float(values[n])) for n in range(args.limit)])
+                    ((n, float(values[n])) for n in range(args.limit)))
     return result
 
 
@@ -295,6 +295,9 @@ def _cmd_bounds_check(args):
 
 def _cmd_digital_pnt(args):
     rows = parse_matrix(args.L)
+    for flag, digits in (("--L", sum(rows, [])), ("--b", args.b)):
+        if max(digits) >= args.p:
+            raise ArgumentError(f"{flag} holds digit {max(digits)}, not below --p {args.p}")
     L = make_linear_map(args.p, rows)
     shape = GroupShape([args.p], [args.d])
     out = count_primes_digit_condition(L, args.b, shape)

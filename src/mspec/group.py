@@ -8,9 +8,12 @@ order, digit j=0 least significant within a block.
 The group is a product of CRT blocks Z/p_i^d_i, so every digit function
 (exponents, syndromes, digit counts, translations, the layout index)
 factors over blocks: block_table builds one on a block's b_i = p_i^d_i
-local values and block_at reads it at x mod b_i, or along the block's axis
-of the flat layout; block_sum adds the reads of every block into one
-array.  GroupShape.digit and encode are the scalar codec.
+local values.  A CrtReader builds one HalvesReader per block, which reads
+the table or its digit halves at x mod b_i, and joins their reads in block
+order by one ufunc (np.add, np.multiply, np.logical_and): at points, over
+a run, or over all of [0, X) a CHUNK at a time into one array.  In layout order,
+layout_sum adds the tables, one np.add.outer per block.  GroupShape.digit
+and encode are the scalar codec.
 """
 
 from __future__ import annotations
@@ -55,7 +58,7 @@ def roots_at(q: int, u) -> np.ndarray:
     """Entries u mod q of roots_of_unity(q), for int64 u in [0, 2q): read
     from the table when q <= CHUNK, else evaluated at u alone, bit for bit."""
     if q <= CHUNK:
-        return np.take(roots_of_unity(q), u, mode="wrap")
+        return roots_of_unity(q).take(u, mode="wrap")
     return _roots(q, np.asarray(u, dtype=np.int64) % q)
 
 
@@ -161,11 +164,17 @@ class GroupShape:
         return self.char_digits_matrix(self.flat_index_of(xs))
 
     def flat_index_of(self, xs) -> np.ndarray:
-        """Character-layout flat index of the digit vectors of xs: block i's
-        digits are those of x mod b_i, at little-endian stride B_i, so the
-        index is sum_i (x mod b_i) * B_i."""
-        return self.block_sum([np.arange(b, dtype=np.int64) * B for b, B
-                               in zip(self.block_sizes, self.block_strides)], xs)
+        """Character-layout flat index of the digit vectors of xs (all of
+        [0, X) for None): block i's digits are those of x mod b_i, at
+        little-endian stride B_i, so the index is sum_i (x mod b_i) * B_i."""
+        return self.index_reader().at(xs)
+
+    def index_reader(self) -> CrtReader:
+        """CrtReader of flat_index_of: per block y -> B_i y, from the halves
+        of the linear form y mod b_i (one table while b_i <= CHUNK)."""
+        return CrtReader(self.X, [(b, _linear_halves(1, b, CHUNK), partial(np.multiply, B))
+                                  for b, B in zip(self.block_sizes, self.block_strides)],
+                         np.add, np.int64)
 
     def block_table(self, i: int, terms) -> np.ndarray:
         """(..., p_i^k) table of a digit function on the values y of k digits
@@ -179,38 +188,13 @@ class GroupShape:
                 terms.shape[:-2] + (self.primes[i] ** (k + 1),))
         return table
 
-    def block_at(self, i: int, table, xs=None, stride: int = 1) -> np.ndarray:
-        """New (..., n) array: a (..., b_i) block table read at positions xs,
-        where x has block-i value x // stride mod b_i (stride 1: integers;
-        B_i: flat layout indices).  For all of [0, X) it is a broadcast along
-        the middle axis of reshape(X / (b_i stride), b_i, stride), with no
-        division and no index array; a read at given xs still needs the
-        whole b_i table."""
-        b = self.block_sizes[i]
-        if xs is not None:
-            return table[..., np.asarray(xs, dtype=np.int64) // stride % b]
-        out = np.empty(table.shape[:-1] + (self.X // (b * stride), b, stride), table.dtype)
-        out[...] = table[..., None, :, None]
-        return out.reshape(table.shape[:-1] + (self.X,))
-
-    def block_sum(self, tables, xs=None, strides=None) -> np.ndarray:
-        """New (n,) array: sum over blocks i of block_at(i, tables[i], xs,
-        strides[i]) (strides default 1).  For all of [0, X) each table is
-        added in place, along the middle axis of the buffer's
-        reshape(X / (b_i stride_i), b_i, stride_i) view, so no block read
-        is allocated on its own."""
-        strides = strides or (1,) * self.r
-        if xs is not None:
-            return sum(self.block_at(i, t, xs, s)
-                       for i, (t, s) in enumerate(zip(tables, strides)))
-        out = np.empty(self.X, np.result_type(*tables))
-        for i, (table, stride) in enumerate(zip(tables, strides)):
-            view = out.reshape(self.X // (self.block_sizes[i] * stride),
-                               self.block_sizes[i], stride)
-            if i == 0:
-                view[...] = table[:, None]
-            else:
-                view += table[:, None]
+    def layout_sum(self, tables) -> np.ndarray:
+        """(X,) array over flat layout indices sum_i y_i B_i: the sum over
+        blocks of tables[i][y_i], one np.add.outer per block from the most
+        significant down; for one block, the table itself."""
+        out = tables[-1]
+        for table in reversed(tables[:-1]):
+            out = np.add.outer(out, table).reshape(-1)
         return out
 
     def char_digits_matrix(self, indices=None) -> np.ndarray:
@@ -241,15 +225,16 @@ class GroupShape:
         """Vector of g + x (digitwise) over xs, as integers: per block, the
         CRT weights of y + g (digitwise) read at x mod b_i."""
         gd, w = np.array(flatten_digits(self.encode(g))), self._decode_weights()
-        tables = (self.block_table(i, (np.arange(p) + gd[s, None]) % p * w[s, None])
-                  for i, (p, s) in enumerate(zip(self.primes, self.block_slices)))
-        out = self.block_sum(list(tables), xs)
+        tables = [(b, self.block_table(i, (np.arange(p) + gd[s, None]) % p * w[s, None]))
+                  for i, (p, b, s) in enumerate(zip(self.primes, self.block_sizes,
+                                                    self.block_slices))]
+        out = CrtReader(self.X, tables, np.add, np.int64).at(xs)
         out %= self.X
         return out
 
     def exponent_halves(self, i: int, coeffs, whole: int):
         """(m, low, high) with sum_j coeffs_j y_j = low[y mod m] + high[y div m]
-        (mod p_i) for block i's values y: one table (m = b_i, high = [0]) when
+        (mod p_i) for block i's values y: one table (m = b_i, high None) when
         b_i <= whole, else the low and high digit halves, of about sqrt(b_i)
         entries each; a one-digit block is the form c y of _linear_halves."""
         p, e, b = self.primes[i], self.exponents[i], self.block_sizes[i]
@@ -257,7 +242,7 @@ class GroupShape:
             return _linear_halves(int(coeffs[0]) % p, p, whole)
         terms = np.asarray(coeffs, dtype=np.int64)[:, None] * np.arange(p) % p
         k = e if b <= whole else e // 2
-        high = self.block_table(i, terms[k:]) % p if k < e else np.zeros(1, np.int64)
+        high = self.block_table(i, terms[k:]) % p if k < e else None
         return p**k, self.block_table(i, terms[:k]) % p, high
 
     def _decode_weights(self) -> np.ndarray:
@@ -276,41 +261,86 @@ class GroupShape:
 
 def _linear_halves(c: int, q: int, whole: int):
     """(m, low, high) with c y = low[y mod m] + high[y div m] (mod q) for y in
-    [0, q): m = q and high = [0] when q <= whole, else m about sqrt(q)."""
+    [0, q): m = q and high None when q <= whole, else m about sqrt(q)."""
     m = q if q <= whole else math.isqrt(q - 1) + 1
-    return m, c * np.arange(m) % q, c * m % q * np.arange(-(-q // m)) % q
+    return m, c * np.arange(m) % q, None if m == q else c * m % q * np.arange(-(-q // m)) % q
 
 
 class HalvesReader:
-    """take(E(x mod b)) for E(y) = low[y mod m] + high[y div m], where take
-    maps an int64 array of sums E to values (roots_at or a wrapped np.take
-    from a table, for exponents mod q and sums below 2q), at sample points
-    (at) or over runs of up to span consecutive x (run).  One table (m >= b) is tiled to span + b
-    entries once, so a run is a slice.  Otherwise a run, cut where x mod b
-    wraps, is whole rows of the (len(high), m) grid: a broadcast add
-    high[rows, None] + low, one take and a slice."""
+    """A function v of y = x mod b, at sample points (at) or over runs of
+    consecutive x (run): a plain table of b values (take None), or
+    take(low[y mod m] + high[y div m]) from halves (m, low, high), where take
+    maps an int64 array of sums to values (roots_at or a wrapped np.take from
+    a table, for exponents mod q and sums below 2q).  One table (m >= b) is
+    taken once; a run is a slice of it or, once it wraps, two slices joined
+    (n < b) or a slice of the table tiled past its end.  Otherwise a run,
+    cut where x mod b wraps, is whole rows of the (len(high), m) grid: a
+    broadcast add high[rows, None] + low, one take and a slice."""
 
-    def __init__(self, b: int, halves, take, span: int = 0):
-        self.b, (self.m, self.low, self.high), self.take = b, halves, take
-        if span and self.m >= b:
-            self.tiled = np.resize(take(self.low), span + b)
+    def __init__(self, b: int, halves, take=None):
+        self.b, self.take, self.tiled = b, take, None
+        self.m, self.low, self.high = (b, halves, None) if take is None else halves
+        self.table = self.low if take is None else take(self.low) if self.m >= b else None
 
     def at(self, xs) -> np.ndarray:
         y = np.asarray(xs, dtype=np.int64) % self.b
+        if self.table is not None:
+            return self.table[y]
         return self.take(self.low[y % self.m] + self.high[y // self.m])
 
     def run(self, lo: int, n: int) -> np.ndarray:
-        s, m = lo % self.b, self.m
-        if m >= self.b:
-            return self.tiled[s : s + n]
-        pieces = []
+        s, b = lo % self.b, self.b
+        if self.table is not None:
+            if s + n <= b:
+                return self.table[s : s + n]
+            if n < b:  # one wrap: two pieces, no tile of a large table
+                return np.concatenate((self.table[s:], self.table[: s + n - b]))
+            if self.tiled is None or s + n > self.tiled.size:
+                self.tiled = np.empty((n // b + 2, b), self.table.dtype)
+                self.tiled[...] = self.table
+            return self.tiled.reshape(-1)[s : s + n]
+        pieces, m = [], self.m
         while n:
-            k = min(n, self.b - s)
+            k = min(n, b - s)
             r0 = s // m
             grid = (self.high[r0 : (s + k - 1) // m + 1, None] + self.low).reshape(-1)
             pieces.append(self.take(grid[s - r0 * m : s - r0 * m + k]))
             n, s = n - k, 0
         return pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
+
+
+class CrtReader:
+    """x -> v_k(x mod b_k) over parts (b_k, halves or table, take), each read
+    by a HalvesReader, joined in order by combine (a binary ufunc; no part
+    gives its identity), as dtype: at points, or over all of [0, X) one
+    CHUNK at a time into one array (at), or over one run."""
+
+    def __init__(self, X: int, parts, combine, dtype):
+        self.X, self.combine, self.dtype = X, combine, dtype
+        self.readers = [HalvesReader(*part) for part in parts]
+
+    def _join(self, reads, n: int, out=None) -> np.ndarray:
+        if out is None and len(self.readers) == 1:
+            return next(reads)
+        out = np.empty(n, self.dtype) if out is None else out
+        out[...] = next(reads, self.combine.identity)
+        for read in reads:
+            self.combine(out, read, out=out)
+        return out
+
+    def at(self, xs=None) -> np.ndarray:
+        """New array of the values at xs, or over all of [0, X) for None."""
+        if xs is not None:
+            return self._join((r.at(xs) for r in self.readers), len(xs))
+        out = np.empty(self.X, self.dtype)
+        for lo in range(0, self.X, CHUNK):
+            self.run(lo, min(CHUNK, self.X - lo), out[lo : lo + CHUNK])
+        return out
+
+    def run(self, lo: int, n: int, out=None) -> np.ndarray:
+        """Values at [lo, lo + n), into out when given; for one reader
+        without out, possibly a view of its table, only to be read."""
+        return self._join((r.run(lo, n) for r in self.readers), n, out)
 
 
 def flatten_digits(blocks):
@@ -402,25 +432,21 @@ def char_eval(a: CharacterIndex, x: int, shape: GroupShape | None = None) -> com
 def char_values(a: CharacterIndex, shape: GroupShape | None = None,
                 xs=None) -> np.ndarray:
     """chi_a over xs (all of [0, X) by default), via exact root tables: per
-    nontrivial block, the root at sum_j a_j y_j mod p_i, read at x mod b_i.
-    At given xs a block larger than the point count is read from its digit
-    halves (exponent_halves), never from a whole block table."""
+    nontrivial block, the root at sum_j a_j y_j mod p_i, read at x mod b_i
+    and multiplied in block order.  At given xs a block larger than the
+    point count is read from its digit halves, never from a whole block
+    table."""
     shape = shape or a.shape
-    values = None
-    for i, p in enumerate(shape.primes):
-        ai = np.array(a.block(i), dtype=np.int64)
-        if ai.any():
-            if xs is None:
-                exps = shape.block_table(i, ai[:, None] * np.arange(p)) % p
-                block_vals = shape.block_at(i, roots_at(p, exps))
-            else:
-                halves = shape.exponent_halves(i, ai, len(xs))
-                block_vals = HalvesReader(shape.block_sizes[i], halves,
-                                          partial(roots_at, p)).at(xs)
-            values = block_vals if values is None else values * block_vals
-    if values is None:
-        return np.ones(shape.X if xs is None else len(xs), dtype=np.complex128)
-    return values
+    return _char_reader(a, shape, CHUNK if xs is None else len(xs)).at(xs)
+
+
+def _char_reader(a: CharacterIndex, shape: GroupShape, whole: int = CHUNK) -> CrtReader:
+    """CrtReader of chi_a: the product of its nontrivial blocks' roots, each
+    from the exponent halves of a's block (one table while b_i <= whole)."""
+    return CrtReader(shape.X, [(b, shape.exponent_halves(i, a.block(i), whole),
+                                partial(roots_at, p))
+                               for i, (p, b) in enumerate(zip(shape.primes, shape.block_sizes))
+                               if any(a.block(i))], np.multiply, np.complex128)
 
 
 def char_stats(a: CharacterIndex, shape: GroupShape | None = None):

@@ -17,8 +17,8 @@ import numpy as np
 
 from .arith import is_prime, nu_p_weight, primes_up_to, sieve
 from .errors import ArgumentError
-from .group import CharacterIndex, GroupShape, HalvesReader, _rref_mod_p
-from .spectral import CHUNK, _char_chunks, _streamed_sum
+from .group import CHUNK, CharacterIndex, CrtReader, GroupShape, _char_reader, _rref_mod_p
+from .spectral import _streamed_sum
 
 
 class SurjectivityError(ArgumentError):
@@ -120,13 +120,10 @@ def count_primes_digit_condition(L: LinearDigitMap, b, shape: GroupShape) -> dic
     ss = singular_series(L, b)
     table = sieve("von_mangoldt", X)
     # row k of L is a digit-linear exponent, and x is in the fiber when every
-    # row's exponent is b_k: a lookup in arange(p) == b_k, one chunk at a time
-    span = min(CHUNK, X)
-    tests = [HalvesReader(X, shape.exponent_halves(0, row, CHUNK),
-                          partial(np.take, np.arange(L.p) == bk, mode="wrap"), span)
-             for row, bk in zip(L.rows, b)]
-    in_fiber = np.concatenate([np.logical_and.reduce([t.run(lo, min(span, X - lo)) for t in tests])
-                               for lo in range(0, X, span)])
+    # row's exponent is b_k: a lookup in arange(p) == b_k
+    in_fiber = CrtReader(X, [(X, shape.exponent_halves(0, row, CHUNK),
+                              partial(np.take, np.arange(L.p) == bk, mode="wrap"))
+                             for row, bk in zip(L.rows, b)], np.logical_and, bool).at()
     count = int(np.count_nonzero((table.pp_exp == 1) & in_fiber))  # exponent 1: the primes
     lambda_sum = float(table.values[in_fiber].sum())
 
@@ -158,12 +155,12 @@ def lambda_balanced_correlation(a: CharacterIndex, shape: GroupShape) -> dict:
     X = shape.X
     table = sieve("von_mangoldt", X)
     weight = float(nu_p_weight(1, p))
-    chars = _char_chunks(a, shape)
+    chars = _char_reader(a, shape)
 
     def balanced(lo: int, n: int) -> np.ndarray:
         nu = np.full(n, weight)
         nu[-lo % p :: p] = 0.0
-        return (table.values[lo : lo + n] - nu) * chars(lo, n)
+        return (table.values[lo : lo + n] - nu) * chars.run(lo, n)
 
     raw = _streamed_sum(X, balanced)
     return {"raw": raw, "normalized": raw / X, "X": X}

@@ -41,8 +41,8 @@ import numpy as np
 
 from .arith import ArithmeticTable
 from .errors import ArgumentError, ResourceError
-from .group import (CHUNK, CharacterIndex, GroupShape, HalvesReader, _linear_halves,
-                    char_values, roots_at, roots_of_unity)
+from .group import (CHUNK, CharacterIndex, CrtReader, GroupShape, _char_reader,
+                    _linear_halves, roots_at, roots_of_unity)
 
 # in entries: the X of a full spectrum or truncated character, one CRT
 # block, one interval
@@ -76,11 +76,6 @@ def _reader(table, X: int):
         return part
 
     return read
-
-
-def _as_values(table, X: int) -> np.ndarray:
-    """The whole table as one _reader read; callers only read it."""
-    return _reader(table, X)(0, X)
 
 
 def _fold(rows: np.ndarray) -> np.ndarray:
@@ -121,39 +116,6 @@ def block_pairwise_sum(arr: np.ndarray) -> complex:
     """
     arr = np.ravel(arr)
     return _streamed_sum(arr.size, lambda lo, n: arr[lo : lo + n]) if arr.size else 0j
-
-
-def _char_chunks(a: CharacterIndex, shape: GroupShape):
-    """(lo, n) -> chi_a over [lo, lo + n), n <= CHUNK: per nontrivial block a
-    HalvesReader of its exponent halves (one table while b_i fits in a
-    chunk), multiplied in block order as in char_values, so every value is
-    bit-identical to char_values'."""
-    readers = [HalvesReader(b, shape.exponent_halves(i, a.block(i), CHUNK),
-                            partial(roots_at, p), min(CHUNK, shape.X))
-               for i, (p, b) in enumerate(zip(shape.primes, shape.block_sizes))
-               if any(a.block(i))]
-
-    def run(lo: int, n: int) -> np.ndarray:
-        if not readers:
-            return np.ones(n, dtype=np.complex128)
-        values = readers[0].run(lo, n)
-        for reader in readers[1:]:
-            values = values * reader.run(lo, n)
-        return values
-
-    return run
-
-
-def _index_chunks(shape: GroupShape):
-    """(lo, n) -> flat_index_of x in [lo, lo + n), n <= CHUNK: a slice for
-    one block, else sum_i B_i (x mod b_i), per block a HalvesReader of
-    y -> B_i y (one tiled table while b_i fits in a chunk)."""
-    if shape.r == 1:
-        return lambda lo, n: slice(lo, lo + n)
-    readers = [HalvesReader(b, _linear_halves(1, b, CHUNK), partial(np.multiply, B),
-                            min(CHUNK, shape.X))
-               for b, B in zip(shape.block_sizes, shape.block_strides)]
-    return lambda lo, n: sum(reader.run(lo, n) for reader in readers)
 
 
 @dataclass
@@ -267,7 +229,8 @@ def group_spectrum(table, shape: GroupShape, cap: int = SPECTRUM_CAP) -> Spectru
     else:  # into the buffer the first run does not write
         if bufs[1] is None:
             bufs[1] = np.empty(X, dtype=np.complex128)
-        t, index = bufs[1].view(dtype)[:X], _index_chunks(shape)
+        t = bufs[1].view(dtype)[:X]
+        index = shape.index_reader().run if shape.r > 1 else lambda lo, n: slice(lo, lo + n)
         for lo in range(0, X, CHUNK):
             n = min(CHUNK, X - lo)
             t[index(lo, n)] = read(lo, n)
@@ -288,25 +251,21 @@ def inverse_transform(spec: Spectrum) -> np.ndarray:
     t, free = _axis_transform(spec.coeffs, [None, None], shape, 1)
     if shape.r == 1:
         return t
-    index = _index_chunks(shape)
+    index = shape.index_reader()
     for lo in range(0, shape.X, CHUNK):
         n = min(CHUNK, shape.X - lo)
-        free[lo : lo + n] = t[index(lo, n)]
+        free[lo : lo + n] = t[index.run(lo, n)]
     return free
 
 
 def correlation(table, a: CharacterIndex, shape: GroupShape) -> complex:
     """Single coefficient fhat(a): (1/X) block_pairwise_sum of f conj(chi_a),
-    over whole arrays up to one chunk and streamed above, so an int8 table
-    is never widened whole.  Complex products are not bitwise commutative:
-    a chunk takes conj(chi_a) first, the order numpy uses for the
-    whole-array product when it reuses the temporary conj(chi_a) as its
-    output, which it does from 2^14 entries on."""
-    if shape.X <= CHUNK:
-        return block_pairwise_sum(_as_values(table, shape.X)
-                                  * np.conj(char_values(a, shape))) / shape.X
-    read, chars = _reader(table, shape.X), _char_chunks(a, shape)
-    return _streamed_sum(shape.X, lambda lo, n: np.conj(chars(lo, n)) * read(lo, n)) / shape.X
+    streamed one CHUNK at a time at every X, so an int8 table is never
+    widened whole.  Complex products are not bitwise commutative: a chunk
+    takes conj(chi_a) first, the order numpy uses for the whole-array
+    product when it reuses the temporary conj(chi_a) as its output."""
+    read, chi = _reader(table, shape.X), _char_reader(a, shape)
+    return _streamed_sum(shape.X, lambda lo, n: np.conj(chi.run(lo, n)) * read(lo, n)) / shape.X
 
 
 # -- Dirichlet-type kernel ------------------------------------------------
@@ -522,8 +481,8 @@ def interval_l1_sum(a: CharacterIndex, shape: GroupShape, lo: int, hi: int):
     for start in range(lo, hi, CHUNK):  # np.sum per chunk, chunk sums in order
         ks = np.arange(start, min(start + CHUNK, hi), dtype=np.int64)
         prod = np.ones(ks.size, dtype=np.float64)
-        for i, mags in enumerate(mags_by_k):
-            prod *= shape.block_at(i, mags, ks)
+        for mags in mags_by_k:
+            prod *= mags[ks % mags.size]
         value += float(prod.sum())
     reference = math.sqrt(shape.primes[-1] * (hi - lo))
     return {"sum": value, "reference": reference, "ratio": value / reference}
@@ -635,7 +594,7 @@ def _additive_coefficient(read, theta: Fraction, X: int) -> complex:
     phase index (-num x) mod den is the linear form of _linear_halves."""
     den = theta.denominator
     halves = _linear_halves(-theta.numerator % den, den, CHUNK)
-    phases = HalvesReader(den, halves, partial(roots_at, den), min(CHUNK, X))
+    phases = CrtReader(X, [(den, halves, partial(roots_at, den))], np.multiply, np.complex128)
     return _streamed_sum(X, lambda lo, n: read(lo, n) * phases.run(lo, n)) / X
 
 

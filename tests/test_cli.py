@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ import mspec.cli
 import mspec.learning
 import mspec.spectral
 from mspec import (CharacterIndex, char_values, correlation,
-                   csq_bad_event_rate, group_spectrum, parse_shape)
+                   csq_bad_event_rate, group_spectrum, parse_shape, sieve)
 from mspec.alignment import GRAM_CAP
 from mspec.learning import NGD_X_CAP
 from mspec.spectral import SPECTRUM_CAP
@@ -136,6 +137,25 @@ def test_plot_data_csv(tmp_path, capsys):
             float(cell)  # numeric columns only
 
 
+
+def test_sieve_plot_data_streams_its_rows(tmp_path, capsys):
+    """The rows go to the file as they are formed: the parent built a list
+    of every (n, value) pair first, about 12 MiB here."""
+    path = str(tmp_path / "sieve.csv")
+    peaks = []
+    for call in (lambda: sieve("mobius", 10**5),
+                 lambda: run_command(["sieve", "--limit", str(10**5), "--plot-data", path])):
+        tracemalloc.start()
+        try:
+            call()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    capsys.readouterr()
+    assert peaks[1] <= peaks[0] + (1 << 20)
+    with open(path) as fh:
+        assert [next(fh) for _ in range(3)] == ["n,value\n", "0,0\n", "1,1\n"]
+
 PLOT_COMMANDS = {"sieve", "spectrum", "covariance", "decay-table"}
 MINIMAL_ARGV = {
     "sieve": ["--limit", "10"], "spectrum": ["--shape", "2^3"],
@@ -250,6 +270,8 @@ def test_ngd_runs_on_one_digit_and_one_digit_per_block(text, capsys):
     (["katai", "--shape", "3^3", "--delta", "x"], "--delta"),
     (["csq", "--shape", "2^4", "--tau", "0"], "--tau"),
     (["csq", "--shape", "2^4", "--tau", "-1"], "--tau"),
+    (["digital-pnt", "--p", "3", "--d", "4", "--L", "5000", "--b", "1"], "--L"),
+    (["digital-pnt", "--p", "3", "--d", "4", "--L", "1000", "--b", "7"], "--b"),
 ])
 def test_nonpositive_counts_rejected(argv, flag, capsys):
     assert run_command(argv) == 2

@@ -1,7 +1,9 @@
 """Digits of many positions are computed in group.py only.
 
-Every digit function of the package is a block table built and read by
-GroupShape.block_table and GroupShape.block_at, so a `.digit(` call in
+Every digit function of the package is a block table built by
+GroupShape.block_table (whole, or as the digit halves of exponent_halves),
+read at x mod b_i by a HalvesReader joined over blocks by a CrtReader, or
+along the flat layout by GroupShape.layout_sum, so a `.digit(` call in
 another src/mspec module is a second, per-digit path.  The one exception
 is learning.embed_inputs: its output holds one cos/sin column pair per
 digit.

@@ -22,7 +22,7 @@ from mspec import (
 )
 from mspec.alignment import _orbit_minima
 from mspec.errors import ArgumentError
-from mspec.group import roots_of_unity
+from mspec.group import CrtReader, roots_of_unity
 from mspec.learning import embed_inputs
 
 SHAPES = [
@@ -400,9 +400,10 @@ def test_no_digit_matrix_on_consumer_paths(monkeypatch):
 # -- the block-table rule against per-digit sums ------------------------------
 #
 # A digit function is a table over each block's b_i local values, read at
-# x mod b_i (integers) or at the block's digits of a flat layout index.  The
-# references below sum terms[..., k, digit k] digit by digit, with digits
-# from _crt_digits (integers) or from repeated division (flat indices).
+# x mod b_i (integers: a HalvesReader joined by a CrtReader) or at the
+# block's digits of a flat layout index (layout_sum).  The references below
+# sum terms[..., k, digit k] digit by digit, with digits from _crt_digits
+# (integers) or from repeated division (flat indices).
 
 
 def _per_digit_sum(terms, digits):
@@ -428,14 +429,20 @@ def test_block_tables_match_per_digit_sums(s, lead):
         table = s.block_table(i, terms)
         assert table.shape == lead + (b,)
         assert np.array_equal(table, _per_digit_sum(terms, local))
-        by_integer = _per_digit_sum(terms, integer_digits[:, cols])
-        by_layout = _per_digit_sum(terms, layout_digits[:, cols])
-        read = s.block_at(i, table)
-        assert read.shape == lead + (s.X,) and read.flags.writeable
-        assert not np.shares_memory(read, table)
-        assert np.array_equal(read, by_integer)
-        assert np.array_equal(s.block_at(i, table, xs), by_integer[..., xs])
-        B = s.block_strides[i]
-        assert B == s.digit_strides[cols.start]
-        assert np.array_equal(s.block_at(i, table, stride=B), by_layout)
-        assert np.array_equal(s.block_at(i, table, xs, stride=B), by_layout[..., xs])
+        by_integer = _per_digit_sum(terms, integer_digits[:, cols]).reshape(-1, s.X)
+        by_layout = _per_digit_sum(terms, layout_digits[:, cols]).reshape(-1, s.X)
+        assert s.block_strides[i] == s.digit_strides[cols.start]
+        # the readers take one table at a time: each row of the leading axes
+        for row, want, want_layout in zip(table.reshape(-1, b), by_integer, by_layout):
+            reader = CrtReader(s.X, [(b, row)], np.add, row.dtype)
+            read = reader.at()
+            assert read.flags.writeable and not np.shares_memory(read, row)
+            assert np.array_equal(read, want)
+            assert np.array_equal(reader.at(xs), want[xs])
+            lo = s.X // 3
+            assert np.array_equal(reader.run(lo, s.X - lo), want[lo:])
+            if s.X >= 2 * b:  # a run shorter than the block that wraps once
+                assert np.array_equal(reader.run(b - 1, b - 1), want[b - 1 : 2 * b - 2])
+            tables = [np.zeros(c, row.dtype) for c in s.block_sizes]
+            tables[i] = row
+            assert np.array_equal(s.layout_sum(tables), want_layout)

@@ -63,8 +63,10 @@ def test_correlation_equals_the_whole_array_sum(text):
             assert correlation(table, a, shape) == want
 
 
-def test_correlation_of_a_complex_table_takes_conj_chi_first():
-    shape = parse_shape("3^12")
+@pytest.mark.parametrize("text", ["3^12", "3^8", "2^2*3^2*5*7"])
+def test_correlation_of_a_complex_table_takes_conj_chi_first(text):
+    """One streamed path at every X: below one chunk too."""
+    shape = parse_shape(text)
     f = np.exp(0.37j * np.arange(shape.X))
     a = CharacterIndex.from_flat(3, shape)
     chi = np.conj(char_values(a, shape))
