@@ -91,10 +91,7 @@ class GroupShape:
         self.d = sum(exponents)
         self.block_sizes = tuple(p**e for p, e in zip(primes, exponents))
         # CRT multipliers (X / p_i^d_i)^{-1} mod p_i^d_i
-        self.crt_inverses = tuple(
-            pow(X // b, -1, b) if X // b > 1 else 1 % b if b > 1 else 0
-            for b in self.block_sizes
-        )
+        self.crt_inverses = tuple(pow(X // b, -1, b) for b in self.block_sizes)
         # flat digit layout: radix per digit position, little-endian strides
         self.digit_primes = np.repeat(np.array(primes, dtype=np.int64), exponents)
         strides = np.ones(self.d, dtype=np.int64)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .arith import primes_up_to, sieve
 from .errors import ArgumentError, ResourceError
-from .group import GroupShape, char_values, CharacterIndex, flatten_digits
+from .group import CHUNK, GroupShape, char_values, CharacterIndex, flatten_digits
 from .spectral import SPECTRUM_CAP, group_spectrum
 from .alignment import _over_tau_squared, alignment_full_group, learning_bounds
 
@@ -571,10 +571,12 @@ def binary_mult_covariance(X: int, mode: str = "formula") -> dict:
     op_norm_formula = math.isqrt(X // 2) / X
     if mode == "formula":
         sf = sieve("mobius", X + 1).values != 0
+        # rows share one float object per value of isqrt(X // a): 32 B less per row
+        lam = [k / X for k in range(math.isqrt(X // 2) + 1)]
         eigen = [(1, 0.0)]
-        for a in range(2, X + 1):
-            if sf[a]:
-                eigen.append((a, math.isqrt(X // a) / X))
+        for lo in range(2, X + 1, CHUNK):
+            eigen += [(a, lam[math.isqrt(X // a)])
+                      for a in (np.flatnonzero(sf[lo : lo + CHUNK]) + lo).tolist()]
         return {"eigen": eigen, "op_norm": op_norm_formula, "mode": mode}
     if mode == "explicit":
         C = covariance_matrix(X)

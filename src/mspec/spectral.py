@@ -201,7 +201,7 @@ def _axis_transform(t: np.ndarray, bufs: list, shape: GroupShape, sign: int):
     return t, bufs[len(runs) % 2]
 
 
-def group_spectrum(table, shape: GroupShape, cap: int = SPECTRUM_CAP) -> Spectrum:
+def group_spectrum(table, shape: GroupShape) -> Spectrum:
     """All coefficients (1/X) sum_x f(x) conj(chi_a(x)) via axis DFTs, in
     the result and at most one more X-entry complex buffer: the buffers are
     ordered so that the last run writes the result, allocated first, and the
@@ -212,11 +212,9 @@ def group_spectrum(table, shape: GroupShape, cap: int = SPECTRUM_CAP) -> Spectru
     is divided by X and widened in place a chunk at a time through a copy,
     from the top down, so no unread float is overwritten."""
     X = shape.X
-    if X > cap:
-        raise ResourceError(
-            f"X = {X} exceeds the full-spectrum cap {cap}; "
-            "use correlation() for single coefficients"
-        )
+    if X > SPECTRUM_CAP:
+        raise ResourceError(f"X = {X} exceeds the full-spectrum cap {SPECTRUM_CAP}; "
+                            "use correlation() for single coefficients")
     values, dtype = _table_values(table, X)
     read = _reader(values, X)
     coeffs = np.empty(X, dtype=np.complex128)
@@ -720,12 +718,3 @@ def p_power_rational_check(theta, shape: GroupShape, Q: int) -> RationalCheck:
         hypothesis_ok = p**d > (8 * p * Q * Q) ** (2 * nonzero)
     return RationalCheck(near, q, a_num, is_p_power, hypothesis_ok, distance)
 
-
-# -- serialization --------------------------------------------------------
-
-
-def dump_spectrum_csv(spec: Spectrum, path: str) -> None:
-    with open(path, "w") as fh:
-        fh.write("flat_index,re,im,magnitude\n")
-        for idx, c in enumerate(spec.coeffs):
-            fh.write(f"{idx},{c.real:.17g},{c.imag:.17g},{abs(c):.17g}\n")

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -155,6 +156,72 @@ def test_sieve_plot_data_streams_its_rows(tmp_path, capsys):
     assert peaks[1] <= peaks[0] + (1 << 20)
     with open(path) as fh:
         assert [next(fh) for _ in range(3)] == ["n,value\n", "0,0\n", "1,1\n"]
+
+
+def reference_csv(header, rows) -> str:
+    """A --plot-data file by the per-row rule: str for an int, .17g for a
+    float, the magnitude of a coefficient by the scalar abs(c)."""
+    return "".join(",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row) + "\n"
+                   for row in [header, *rows])
+
+
+def plot_rows(argv, capsys):
+    """The reference header and rows of the --plot-data file of argv."""
+    command = argv[0]
+    flag = dict(zip(argv[1::2], argv[2::2]))
+    kind = flag.get("--function", "mobius")
+    if command == "sieve":
+        values = mspec.cli._function_values(kind, int(flag["--limit"]))
+        return ["n", "value"], [(n, float(v)) for n, v in enumerate(values)]
+    if command == "spectrum":
+        shape = parse_shape(flag["--shape"])
+        coeffs = group_spectrum(mspec.cli._function_values(kind, shape.X), shape).coeffs
+        return (["flat_index", "re", "im", "magnitude"],
+                [(i, float(c.real), float(c.imag), float(abs(c))) for i, c in enumerate(coeffs)])
+    if command == "covariance" and flag.get("--mode") == "explicit":
+        eigen = mspec.learning.binary_mult_covariance(int(flag["--X"]), "explicit")["eigen"]
+        return ["rank", "eigenvalue"], [(r, float(v)) for r, v in enumerate(eigen)]
+    if command == "covariance":
+        X = int(flag["--X"])
+        mu = sieve("mobius", X + 1).values
+        return ["a", "eigenvalue"], [(1, 0.0)] + [(a, math.isqrt(X // a) / X)
+                                                  for a in range(2, X + 1) if mu[a]]
+    _, rec = run_json(argv, capsys)  # decay-table: the rows of its record
+    return ["d", "X", "max_coefficient"], [tuple(row) for row in rec["result"]["table"]]
+
+
+@pytest.mark.parametrize("argv", [
+    ["sieve", "--limit", "3000"],
+    ["sieve", "--limit", "3000", "--function", "von-mangoldt"],
+    ["spectrum", "--shape", "3^7"],                   # np.abs differs from abs(c) here
+    ["spectrum", "--shape", "2^2*3^2*5*7", "--function", "von-mangoldt"],
+    ["covariance", "--X", "5000"],
+    ["covariance", "--X", "300", "--mode", "explicit"],
+    ["decay-table", "--dims", "4,6,8", "--function", "liouville"],
+], ids=" ".join)
+def test_plot_data_matches_the_per_row_rule(argv, tmp_path, capsys):
+    path = tmp_path / "plot.csv"
+    assert run_command([*argv, "--plot-data", str(path), "--out", str(tmp_path / "rec")]) == 0
+    assert path.read_text() == reference_csv(*plot_rows(argv, capsys))
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--shape", "2^16"],
+    ["covariance", "--X", "100000"],
+], ids=" ".join)
+def test_plot_data_streams_its_rows(argv, tmp_path, capsys):
+    """The writer holds one block of rows at a time: a run with --plot-data
+    peaks within 1 MiB of the same run without it."""
+    peaks = []
+    for extra in ([], ["--plot-data", str(tmp_path / "plot.csv")]):
+        tracemalloc.start()
+        try:
+            assert run_command([*argv, *extra, "--out", str(tmp_path / "rec")]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0] + (1 << 20)
+
 
 PLOT_COMMANDS = {"sieve", "spectrum", "covariance", "decay-table"}
 MINIMAL_ARGV = {

@@ -28,13 +28,13 @@ from mspec import (
     truncated_character,
 )
 from mspec import spectral
+from mspec.cli import run_command
 from mspec.errors import ArgumentError, ResourceError
 from mspec.spectral import (
     SPECTRUM_CAP,
     _digit_kernel,
     _local_coeffs,
     block_pairwise_sum,
-    dump_spectrum_csv,
 )
 
 SHAPES = [
@@ -236,9 +236,9 @@ def test_correlation_rejects_nonfinite_table(bad):
 
 
 def test_spectrum_cap():
-    s = GroupShape([2], [5])
+    """The cap refuses before the table is read, so a short table does."""
     with pytest.raises(ResourceError, match="correlation"):
-        group_spectrum(np.zeros(32), s, cap=16)
+        group_spectrum(np.zeros(1), GroupShape([2], [27]))
 
 
 def test_correlation_examples():
@@ -661,16 +661,14 @@ def test_p_power_rational_examples():
         p_power_rational_check([(0, 1)], GroupShape([2, 3], [1, 1]), 10)
 
 
-# -- serialization --------------------------------------------------------
+# -- plot data -----------------------------------------------------------
 
 
-def test_spectrum_dump_roundtrip(tmp_path):
-    s = GroupShape([3], [3])
-    rng = np.random.default_rng(0)
-    spec = group_spectrum(rng.normal(size=s.X), s)
+def test_spectrum_dump_roundtrip(tmp_path, capsys):
     csv_path = str(tmp_path / "spec.csv")
-    dump_spectrum_csv(spec, csv_path)
+    assert run_command(["spectrum", "--shape", "3^3", "--plot-data", csv_path]) == 0
+    capsys.readouterr()
     with open(csv_path) as fh:
         header = fh.readline().strip()
         assert header == "flat_index,re,im,magnitude"
-        assert len(fh.readlines()) == s.X
+        assert len(fh.readlines()) == 27
