@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ArgumentError, ResourceError
 from .group import CharacterIndex, GroupShape, _rref_mod_p, flatten_digits
-from .spectral import SPECTRUM_CAP, Spectrum, _reader
+from .spectral import Spectrum, _reader
 
 GRAM_CAP = 4096
 
@@ -54,24 +54,37 @@ def alignment_full_group(spec: Spectrum) -> AlignmentResult:
     return AlignmentResult(float(power[idx]), witness, "full_group")
 
 
-def _orbit_minima(shape: GroupShape) -> np.ndarray:
-    """(X,) keys: the smallest flat index in the orbit of each character
-    under digit permutations.  Per block it puts the largest digits lowest:
-    from the counts c_t of each digit value, the sum over t = p-1 .. 1 of
-    t p^low (p^c_t - 1)/(p - 1), low the number of digits placed before t."""
-    tables = []
-    for i, (p, e) in enumerate(zip(shape.primes, shape.exponents)):
-        # terms[t, k, v] = (v == t): digit k adds one to the count of its value
-        terms = np.broadcast_to(np.eye(p, dtype=np.int16)[:, None, :], (p, e, p))
-        counts = shape.block_table(i, terms)
-        powers = p ** np.arange(e + 1, dtype=np.int64)
-        repunits = (powers - 1) // (p - 1)
-        low = np.zeros(shape.block_sizes[i], dtype=np.int16)
-        out = np.zeros(shape.block_sizes[i], dtype=np.int64)
-        for t in range(p - 1, 0, -1):
-            out += t * powers[low] * repunits[counts[t]]
-            low += counts[t]
-        tables.append(np.multiply(out, shape.block_strides[i], out=out))
+def _heaviest(spec: Spectrum, keys: np.ndarray, sizes=None):
+    """(value, witness): the largest spectral mass per key, over its class
+    size when sizes are given, and the first character whose key reaches it."""
+    values = np.bincount(keys, weights=_power(spec))
+    if sizes is not None:
+        values /= np.maximum(sizes, 1)
+    best = values.max()
+    return float(best), CharacterIndex.from_flat(np.argmax(values[keys] == best), spec.shape)
+
+
+def _same_shape(spec: Spectrum, *shapes):
+    if bad := [shape for shape in shapes if shape not in (None, spec.shape)]:
+        raise ArgumentError(f"shape {bad[0]!r} differs from the spectrum's {spec.shape!r}")
+
+
+def _orbit_keys(shape: GroupShape) -> np.ndarray:
+    """(X,) keys, mixed radix over blocks, shared exactly by characters of
+    one type tuple.  Block keys: for p <= e the digit-count code sum_j (e+1)^(digit_j - 1)
+    over the nonzero digits, below (e+1)^(p-1) <= b; for p > e the digits
+    sorted largest lowest (the smallest orbit member), below b."""
+    tables, mult = [], 1
+    for i, (p, e, b) in enumerate(zip(shape.primes, shape.exponents, shape.block_sizes)):
+        if p <= e:
+            code = np.r_[0, (e + 1) ** np.arange(p - 1, dtype=np.int64)]
+            table, radix = shape.block_table(i, np.broadcast_to(code, (e, p))), (e + 1) ** (p - 1)
+        else:
+            digits = shape.block_table(i, np.eye(e, dtype=np.int64)[:, :, None] * np.arange(p))
+            digits.sort(axis=0)  # in place on int64: no sorted copy, no cast in the product
+            table, radix = p ** np.arange(e - 1, -1, -1) @ digits, b
+        tables.append(np.multiply(table, mult, out=table))
+        mult *= radix
     return shape.layout_sum(tables)
 
 
@@ -79,18 +92,10 @@ def alignment_semidirect(spec: Spectrum, shape: GroupShape | None = None) -> Ali
     """max over digit-permutation orbit types of (orbit size)^-1 times the
     spectral mass carried by the type; ties go to the type that holds the
     smallest character index, and the witness is its type tuple."""
-    shape = shape or spec.shape
-    # one block's int16 digit counts, against a full spectrum's bytes at SPECTRUM_CAP
-    if (n := max(p * b for p, b in zip(shape.primes, shape.block_sizes))) > 8 * SPECTRUM_CAP:
-        raise ResourceError(f"semidirect counts of {n} int16 entries exceed {8 * SPECTRUM_CAP}")
-    keys = _orbit_minima(shape)
-    sizes = np.bincount(keys)
-    masses = np.bincount(keys, weights=_power(spec))
-    reps = np.flatnonzero(sizes)
-    values = masses[reps] / sizes[reps]
-    best = int(np.argmax(values))
-    witness = CharacterIndex.from_flat(reps[best], shape).type_tuple
-    return AlignmentResult(float(values[best]), witness, "semidirect")
+    _same_shape(spec, shape)
+    keys = _orbit_keys(spec.shape)
+    value, witness = _heaviest(spec, keys, np.bincount(keys))
+    return AlignmentResult(value, witness.type_tuple, "semidirect")
 
 
 class SubgroupSpec:
@@ -129,9 +134,13 @@ class SubgroupSpec:
         shape = self.shape
         tables, mult = [], 1
         for i, (p, rows) in enumerate(zip(shape.primes, self._block_rows)):
-            residues = shape.block_table(i, rows[:, :, None] * np.arange(p)) % p
-            tables.append(mult * p ** np.arange(len(rows)) @ residues)
-            mult *= p ** len(rows)
+            tables.append(np.zeros(shape.block_sizes[i], dtype=np.int64))
+            for row in rows:  # one row at a time, in place: no (rank, b) residue table
+                residue = shape.block_table(i, row[:, None] * np.arange(p))
+                residue %= p
+                residue *= mult
+                tables[-1] += residue
+                mult *= p
         return shape.layout_sum(tables)
 
 
@@ -141,11 +150,8 @@ def alignment_subgroup(spec: Spectrum, shape: GroupShape,
     the spectral mass in the coset.  The syndromes number the cosets
     0 .. subgroup_order - 1; ties go to the coset that holds the smallest
     character index, which is the witness."""
-    keys = sub.syndromes()
-    masses = np.bincount(keys, weights=_power(spec), minlength=sub.subgroup_order)
-    best = masses.max()
-    rep = CharacterIndex.from_flat(int(np.argmax(masses[keys] == best)), shape)
-    return AlignmentResult(float(best), rep, "subgroup")
+    _same_shape(spec, shape, sub.shape)
+    return AlignmentResult(*_heaviest(spec, sub.syndromes()), "subgroup")
 
 
 def alignment_gram_oracle(table, shape: GroupShape, elements) -> float:

@@ -604,10 +604,10 @@ def katai_witness(table, a: CharacterIndex, shape: GroupShape,
 
     Deterministic order: lexicographic over support positions, numerators
     0, 1, -1, 2, -2, ... at each.  Budget counts streamed point
-    evaluations (X per candidate).
+    evaluations (X per candidate), so it must be at least X.
     """
-    if budget < 1:
-        raise ArgumentError(f"budget must be >= 1, got {budget}")
+    if budget < shape.X:
+        raise ArgumentError(f"budget {budget} is below X = {shape.X}: no candidate fits")
     read = _reader(table, shape.X)
     observed = abs(correlation(table, a, shape))
     if delta is None:
@@ -666,9 +666,6 @@ def katai_witness(table, a: CharacterIndex, shape: GroupShape,
             return witness
         if best is None or achieved > best.achieved:
             best = witness
-    if best is None:
-        best = KataiWitness((), Fraction(0), 0.0, bound, False, evaluations, 0,
-                            observed, delta)
     return best
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,6 @@ import pytest
 from mspec import (
     CharacterIndex,
     GroupShape,
-    Spectrum,
     SubgroupSpec,
     alignment_full_group,
     alignment_gram_oracle,
@@ -63,21 +63,31 @@ def test_semidirect_examples():
     assert r.witness == ((3, 0),)
 
 
-def test_semidirect_refuses_oversized_histograms():
-    """The (X, sum p_i) int16 histograms are refused above the bytes of a
-    full spectrum at SPECTRUM_CAP, before anything is built."""
-    for text in ("100003", "1009^2"):
-        s = parse_shape(text)
-        spec = Spectrum(shape=s, coeffs=np.zeros(s.X, dtype=complex))
-        with pytest.raises(ResourceError, match="semidirect"):
-            alignment_semidirect(spec, s)
+@pytest.mark.parametrize("text", ["100003", "1009^2"])
+def test_semidirect_completes_on_large_primes(text):
+    """Blocks with p > e are keyed by their sorted digits: nothing is refused."""
+    s = parse_shape(text)
+    spec = group_spectrum(sieve("mobius", s.X).values, s)
+    assert 0 < alignment_semidirect(spec, s).value <= alignment_full_group(spec).value
 
 
-def test_semidirect_cli_refuses_a_large_prime(capsys):
-    code = run_command(["align", "--shape", "100003", "--group", "semidirect"])
+def test_semidirect_on_one_digit_is_the_full_group():
+    """One digit admits no permutation but the identity: every orbit is a
+    single character."""
+    s = parse_shape("10007")
+    for f in (sieve("mobius", s.X).values, np.random.default_rng(3).normal(size=s.X)):
+        spec = group_spectrum(f, s)
+        full = alignment_full_group(spec)
+        r = alignment_semidirect(spec, s)
+        assert (r.value, r.witness) == (full.value, full.witness.type_tuple)
+
+
+@pytest.mark.parametrize("text", ["100003", "1009^2"])
+def test_semidirect_cli_completes_on_a_large_prime(capsys, text):
+    code = run_command(["align", "--shape", text, "--group", "semidirect"])
     captured = capsys.readouterr()
-    assert code == 3 and captured.out == ""
-    assert "semidirect" in captured.err and "Traceback" not in captured.err
+    assert code == 0 and "Traceback" not in captured.err
+    assert json.loads(captured.out)["result"]["value"] > 0
 
 
 def test_semidirect_below_full():
@@ -109,7 +119,8 @@ def semidirect_reference(spec, shape):
     return float(best_value), best_type
 
 
-@pytest.mark.parametrize("text", ["3^6", "2^3*3^2*5", "2^2*3^2*5*7", "2^3*3^2*5^2"])
+@pytest.mark.parametrize("text", ["3^6", "2^3*3^2*5", "2^2*3^2*5*7", "2^3*3^2*5^2",
+                                  "1009", "2^2*37^2"])
 def test_semidirect_matches_unique_reference(text):
     s = parse_shape(text)
     rng = np.random.default_rng(5)
@@ -219,6 +230,33 @@ def test_subgroup_cli_many_generators(capsys):
     s = parse_shape("2*3*5*7")
     spec = group_spectrum(sieve("mobius", s.X).values.astype(np.float64), s)
     assert rec["result"]["value"] == alignment_full_group(spec).value
+
+
+def test_subgroup_keys_hold_no_residue_table_per_rank():
+    """Rank 10 on 2^20: the syndromes add one residue table at a time, so
+    the reducer's traced peak beyond the spectrum stays at a few X-sized
+    arrays, where a whole (rank, X) residue table adds 16 B/X per rank."""
+    s = parse_shape("2^20")
+    spec = group_spectrum(sieve("mobius", s.X).values, s)
+    sub = SubgroupSpec([1 << k for k in range(10)], s)
+    assert sub.block_ranks == (10,)
+    tracemalloc.start()
+    try:
+        alignment_subgroup(spec, s, sub)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / s.X <= 32
+
+
+def test_reducers_refuse_a_shape_unlike_the_spectrum():
+    s6, s5 = parse_shape("2^6"), parse_shape("2^5")
+    spec = group_spectrum(np.ones(s6.X), s6)
+    with pytest.raises(ArgumentError, match=r"shape GroupShape\(2\^5\) differs"):
+        alignment_semidirect(spec, s5)
+    for shape, sub_shape in ((s5, s6), (s6, s5), (s5, s5)):
+        with pytest.raises(ArgumentError, match=r"GroupShape\(2\^5\) differs"):
+            alignment_subgroup(spec, shape, SubgroupSpec([3], sub_shape))
 
 
 def test_gram_oracle_examples():

@@ -296,6 +296,13 @@ def test_katai_cli(capsys):
     assert rec["result"]["satisfied"]
 
 
+def test_katai_cli_refuses_a_budget_below_x(capsys):
+    assert run_command(["katai", "--shape", "3^5", "--budget", "100"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "budget" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_seed_recorded(capsys):
     code, rec = run_json(["csq", "--shape", "2^6", "--tau", "0.5", "--q", "2",
                           "--samples", "5", "--seed", "42"], capsys)

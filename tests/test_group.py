@@ -20,7 +20,7 @@ from mspec import (
     rotate_first_layer,
     sieve,
 )
-from mspec.alignment import _orbit_minima
+from mspec.alignment import _orbit_keys
 from mspec.errors import ArgumentError
 from mspec.group import CrtReader, roots_of_unity
 from mspec.learning import embed_inputs
@@ -322,19 +322,25 @@ def test_embed_inputs_match_crt_reference(s):
     assert np.array_equal(embed_inputs(s, xs), expected)
 
 
-@pytest.mark.parametrize("s", MIXED, ids=repr)
-def test_orbit_minima_are_the_smallest_orbit_members(s):
-    keys = _orbit_minima(s)
+@pytest.mark.parametrize("s", MIXED + [parse_shape(t) for t in
+                                        ("5^6", "2^4*3^4", "10007", "131^2", "1009^2")], ids=repr)
+def test_orbit_keys_number_the_type_tuples(s):
+    """Two characters share a key exactly when their type tuples agree, and
+    the count of each key is char_stats' class size: over every character
+    while their type tuples hold at most 2^20 counts, else sampled, each with
+    its digits reversed in every block, a member of the same orbit."""
+    keys = _orbit_keys(s)
+    sizes = np.bincount(keys)
     assert keys.shape == (s.X,) and keys.dtype == np.int64
-    assert np.array_equal(keys[keys], keys)
-    for flat in range(0, s.X, max(1, s.X // 500)):
-        a = CharacterIndex.from_flat(flat, s)
+    key_of_type = {}
+    for flat in range(s.X) if s.X * sum(s.primes) <= 1 << 20 else _sample(s, 200, seed=7):
+        a = CharacterIndex.from_flat(int(flat), s)
         key = int(keys[flat])
-        assert key <= flat
-        assert CharacterIndex.from_flat(key, s).type_tuple == a.type_tuple
-        # the smallest member: per block, the digits sorted largest lowest
-        blocks = [sorted(a.block(i), reverse=True) for i in range(s.r)]
-        assert key == CharacterIndex.from_digits(blocks, s).flat
+        assert key_of_type.setdefault(a.type_tuple, key) == key
+        assert sizes[key] == char_stats(a, s)[2]
+        reverse = CharacterIndex.from_digits([a.block(i)[::-1] for i in range(s.r)], s)
+        assert keys[reverse.flat] == key
+    assert len(set(key_of_type.values())) == len(key_of_type)
 
 
 @pytest.mark.parametrize("s", REFERENCE_SHAPES, ids=repr)

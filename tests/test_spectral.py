@@ -649,6 +649,14 @@ def test_katai_budget_exhaustion():
     assert w.evaluations <= s.X
 
 
+def test_katai_refuses_a_budget_below_one_candidate():
+    s = GroupShape([3], [4])
+    mu = sieve("mobius", s.X).values.astype(float)
+    a = CharacterIndex.from_flat(1, s)
+    with pytest.raises(ArgumentError, match=f"budget {s.X - 1} is below X = {s.X}"):
+        katai_witness(mu, a, s, 0.01, budget=s.X - 1)
+
+
 def test_p_power_rational_examples():
     s = GroupShape([3], [10])
     r = p_power_rational_check([(0, 1), (2, 2)], s, 30)
