@@ -3,7 +3,8 @@
 Tables are dense over [0, X) with the convention that index 0 carries
 value 0 for every kind.  All sieves run segmented (segment size 2**19)
 so results are identical regardless of table size, and each segment's
-scratch rows are allocated once per call and stay in cache.
+scratch rows are allocated once per call and stay in cache.  Von Mangoldt
+Lambda is also streamed from its segments a chunk at a time, with no table.
 
 The Möbius and Liouville kernel works on strided slices ``[start::q]``
 of one signed accumulator, one slice per root prime power q, with no
@@ -164,10 +165,9 @@ def _sieve_mobius_liouville(kind: str, limit: int, segment_size: int) -> np.ndar
     return values
 
 
-def _sieve_von_mangoldt(limit: int, segment_size: int):
-    values = np.zeros(limit, dtype=np.float64)
-    pp_prime = np.zeros(limit, dtype=_word(limit))
-    pp_exp = np.zeros(limit, dtype=np.uint8)
+def _segment_primes(limit: int, segment_size: int, run: int):
+    """(lo, the sorted int64 primes of [lo, lo + run)) per run of each segment."""
+    # root-prime multiples are marked in one bool row that every segment reuses
     root_primes = [int(p) for p in primes_up_to(math.isqrt(max(limit - 1, 0)))]
     composite = np.empty(min(segment_size, limit), dtype=bool)
     for lo in range(0, limit, segment_size):
@@ -180,21 +180,49 @@ def _sieve_von_mangoldt(limit: int, segment_size: int):
             if start < hi:
                 seg[start - lo :: p] = True
         np.logical_not(seg, out=seg)  # now the primes of the segment
-        primes_here = np.flatnonzero(seg) + lo
-        values[primes_here] = np.log(primes_here)
-        pp_prime[primes_here] = primes_here
-        pp_exp[primes_here] = 1
-    # proper prime powers p^k, k >= 2
-    for p in root_primes:
-        q = p * p
-        k = 2
-        while q < limit:
-            values[q] = math.log(p)
-            pp_prime[q] = p
-            pp_exp[q] = k
-            q *= p
-            k += 1
-    return values, pp_prime, pp_exp
+        for at in range(0, hi - lo, run):
+            yield lo + at, np.flatnonzero(seg[at : at + run]) + (lo + at)
+
+
+def _prime_powers(limit: int):
+    """(q, p, k, log p) of the prime powers q = p^k < limit, k >= 2, by q."""
+    # k runs one past the float log_p(limit), so no power below limit is missed
+    rows = sorted((p**k, p, k) for p in primes_up_to(math.isqrt(max(limit - 1, 0))).tolist()
+                  for k in range(2, int(math.log(limit, p)) + 2) if p**k < limit)
+    q, p, k = np.array(rows, dtype=np.int64).reshape(-1, 3).T
+    return q, p, k, np.array([math.log(x) for x in p.tolist()])
+
+
+def _sieve_von_mangoldt(limit: int, segment_size: int):
+    values = np.zeros(limit, dtype=np.float64)
+    pp_prime = np.zeros(limit, dtype=_word(limit))
+    pp_exp = np.zeros(limit, dtype=np.uint8)
+    for _, primes in _segment_primes(limit, segment_size, segment_size):
+        values[primes] = np.log(primes)
+        pp_prime[primes] = primes
+        pp_exp[primes] = 1
+    q, p, k, log_p = _prime_powers(limit)
+    values[q], pp_prime[q], pp_exp[q] = log_p, p, k
+    return ArithmeticTable("von_mangoldt", limit, values, pp_prime, pp_exp)
+
+
+def _von_mangoldt_chunks(limit: int, chunk: int):
+    """Lambda with no table: after sieve()'s checks, (lo, lam, offsets) per run [lo, lo + chunk),
+    lam the sieve's values there in one reused buffer, offsets the run's primes minus lo."""
+    _check_sieve("von_mangoldt", limit, SEGMENT_SIZE, None)
+    q, _, _, log_p = _prime_powers(limit)
+
+    def chunks():
+        buf = np.empty(min(chunk, limit))
+        # chunk divides SEGMENT_SIZE, so every run but the last holds chunk entries
+        for lo, primes in _segment_primes(limit, SEGMENT_SIZE, chunk):
+            buf.fill(0.0)
+            buf[primes - lo] = np.log(primes)
+            i, j = np.searchsorted(q, (lo, lo + chunk))
+            buf[q[i:j] - lo] = log_p[i:j]
+            yield lo, buf[: min(chunk, limit - lo)], primes - lo
+
+    return chunks()
 
 
 def _sieve_squares(limit: int) -> np.ndarray:
@@ -206,9 +234,8 @@ def _sieve_squares(limit: int) -> np.ndarray:
     return values
 
 
-def sieve(kind: str, limit: int, segment_size: int = SEGMENT_SIZE,
-          mem_cap: int | None = None) -> ArithmeticTable:
-    """Build the dense table of ``kind`` on [0, limit)."""
+def _check_sieve(kind: str, limit: int, segment_size: int, mem_cap: int | None) -> None:
+    # sieve()'s argument and cap checks, which _von_mangoldt_chunks makes too
     if kind not in KINDS:
         raise ArgumentError(f"unknown function kind {kind!r}; expected one of {KINDS}")
     cap = memory_cap() if mem_cap is None else mem_cap
@@ -218,11 +245,16 @@ def sieve(kind: str, limit: int, segment_size: int = SEGMENT_SIZE,
         raise ArgumentError(f"segment_size must be >= 1, got {segment_size}")
     if limit > cap:
         raise ResourceError(f"limit {limit} exceeds memory cap {cap} entries")
+
+
+def sieve(kind: str, limit: int, segment_size: int = SEGMENT_SIZE,
+          mem_cap: int | None = None) -> ArithmeticTable:
+    """Build the dense table of ``kind`` on [0, limit)."""
+    _check_sieve(kind, limit, segment_size, mem_cap)
     if kind in ("mobius", "liouville"):
         return ArithmeticTable(kind, limit, _sieve_mobius_liouville(kind, limit, segment_size))
     if kind == "von_mangoldt":
-        values, pp_prime, pp_exp = _sieve_von_mangoldt(limit, segment_size)
-        return ArithmeticTable(kind, limit, values, pp_prime, pp_exp)
+        return _sieve_von_mangoldt(limit, segment_size)
     return ArithmeticTable(kind, limit, _sieve_squares(limit))
 
 

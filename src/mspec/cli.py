@@ -29,6 +29,7 @@ from .spectral import (
     correlation,
     group_spectrum,
     interval_l1_sum,
+    katai_preflight,
     katai_witness,
     linf_bound_check,
 )
@@ -82,30 +83,38 @@ def _function_values(name: str, X: int) -> np.ndarray:
     return sieve(kind, X).values
 
 
+def _check_cap(args, X: int, cap=None) -> None:
+    """Refuse X above ``cap``, the cap of the library call the table feeds
+    (None: the sieve's own cap, which the sieve checks)."""
+    if cap is not None and X > cap:
+        raise ResourceError(f"X = {X} exceeds the {args.command} cap {cap}")
+
+
 def _table(args, shape: GroupShape, cap=None, group=()) -> np.ndarray:
     """The --function table on shape's X, in the sieve's own dtype (the
     library widens an int8 table a chunk at a time): the CLI's one sieve
-    call, made only once shape.X and the X of each shape in ``group`` are
-    within ``cap``, the cap of the library call the table feeds (None: the
-    sieve's own cap)."""
-    X = max(s.X for s in (shape, *group))
-    if cap is not None and X > cap:
-        raise ResourceError(f"X = {X} exceeds the {args.command} cap {cap}")
+    call, made only once shape.X and the X of each shape in ``group`` pass
+    _check_cap."""
+    _check_cap(args, max(s.X for s in (shape, *group)), cap)
     return _function_values(args.function, shape.X)
 
 
 def _top_magnitudes(coeffs: np.ndarray, k: int, start: int = 0):
     """(indices, magnitudes) of the k largest |coeffs[i]|, i >= start, ties to
-    the smaller index, with no X-sized array: the candidates, per CHUNK those
-    at least its k-th largest, hold the top k, and one stable sort ranks them."""
-    indices, mags = [], []
+    the smaller index, with no X-sized array.  The magnitude is np.hypot of
+    the parts, as the spectrum plot writes it; per CHUNK, np.abs (within 2
+    ulps of it) picks the candidates, those within 8 eps of its k-th
+    largest, and one stable sort of their hypot ranks them."""
+    indices, parts = [], []
     for lo in range(start, coeffs.size, CHUNK):
-        part = np.abs(coeffs[lo : lo + CHUNK])
+        part = coeffs[lo : lo + CHUNK]
+        mags = np.abs(part)
         i = max(part.size - k, 0)
-        keep = np.flatnonzero(part >= np.partition(part, i)[i])
+        keep = np.flatnonzero(mags >= np.partition(mags, i)[i] * (1 - 8 * np.finfo(float).eps))
         indices.append(keep + lo)
-        mags.append(part[keep])
-    indices, mags = np.concatenate(indices), np.concatenate(mags)
+        parts.append(part[keep])
+    indices, c = np.concatenate(indices), np.concatenate(parts)
+    mags = np.hypot(c.real, c.imag)
     order = np.argsort(-mags, kind="stable")[:k]
     return indices[order], mags[order]
 
@@ -270,7 +279,10 @@ def _cmd_gram_oracle(args):
 
 def _cmd_katai(args):
     shape = parse_shape(args.shape)
-    values = _table(args, shape, SPECTRUM_CAP if args.char is None else None)
+    cap = SPECTRUM_CAP if args.char is None else None
+    _check_cap(args, shape.X, cap)
+    katai_preflight(args.budget, shape.X)
+    values = _table(args, shape, cap)
     flat = args.char
     if flat is None:  # the largest |fhat(a)| over a >= 1
         flat = int(_top_magnitudes(group_spectrum(values, shape).coeffs, 1, 1)[0][0])

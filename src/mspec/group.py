@@ -455,7 +455,8 @@ def char_stats(a: CharacterIndex, shape: GroupShape | None = None):
     for i, counts in enumerate(ttuple):
         block = math.factorial(shape.exponents[i])
         for m in counts:
-            block //= math.factorial(m)
+            if m > 1:  # 0! = 1! = 1
+                block //= math.factorial(m)
         class_size *= block
     return a.weight, ttuple, class_size
 

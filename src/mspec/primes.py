@@ -3,7 +3,8 @@
 A surjective F_p-linear map L on the digit vector carves [0, p^d) into
 fibers; the local density of primes in the fiber over b is an exact
 rational in {0, 1, p/(p-1)} decided by whether the digit-0 functional
-factors through L and, if so, whether it kills b.
+factors through L and, if so, whether it kills b.  Both von Mangoldt sums
+read Lambda a chunk at a time from arith._von_mangoldt_chunks.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from functools import partial
 
 import numpy as np
 
-from .arith import is_prime, nu_p_weight, primes_up_to, sieve
+from .arith import is_prime, nu_p_weight, primes_up_to, _von_mangoldt_chunks
 from .errors import ArgumentError
 from .group import CHUNK, CharacterIndex, CrtReader, GroupShape, _char_reader, _rref_mod_p
 from .spectral import _streamed_sum
@@ -111,21 +112,28 @@ def singular_series(L: LinearDigitMap, b) -> SingularSeries:
 
 
 def count_primes_digit_condition(L: LinearDigitMap, b, shape: GroupShape) -> dict:
-    """Primes below p^d whose digit vector lies in the fiber over b,
-    against the density heuristic, plus the prime-power-weighted sum."""
+    """Primes below p^d whose digit vector lies in the fiber over b, against
+    the density heuristic, plus the Lambda sum over the fiber, by chunks."""
     if shape.r != 1 or shape.primes[0] != L.p or shape.exponents[0] != L.d:
         raise ArgumentError(f"shape must be {L.p}^{L.d}")
     b = np.asarray(b, dtype=np.int64) % L.p
     X = shape.X
     ss = singular_series(L, b)
-    table = sieve("von_mangoldt", X)
+    chunks = _von_mangoldt_chunks(X, CHUNK)
     # row k of L is a digit-linear exponent, and x is in the fiber when every
     # row's exponent is b_k: a lookup in arange(p) == b_k
-    in_fiber = CrtReader(X, [(X, shape.exponent_halves(0, row, CHUNK),
-                              partial(np.take, np.arange(L.p) == bk, mode="wrap"))
-                             for row, bk in zip(L.rows, b)], np.logical_and, bool).at()
-    count = int(np.count_nonzero((table.pp_exp == 1) & in_fiber))  # exponent 1: the primes
-    lambda_sum = float(table.values[in_fiber].sum())
+    fiber = CrtReader(X, [(X, shape.exponent_halves(0, row, CHUNK),
+                           partial(np.take, np.arange(L.p) == bk, mode="wrap"))
+                          for row, bk in zip(L.rows, b)], np.logical_and, bool)
+    in_fiber, counts = np.empty(min(CHUNK, X), dtype=bool), []
+
+    def fiber_lambda(lo: int, n: int) -> np.ndarray:
+        _, lam, primes = next(chunks)
+        counts.append(np.count_nonzero(fiber.run(lo, n, in_fiber[:n])[primes]))
+        return np.multiply(lam, in_fiber[:n], out=lam)
+
+    lambda_sum = _streamed_sum(X, fiber_lambda).real
+    count = int(sum(counts))
 
     main_term = float(ss.value) / L.p**L.m * X / math.log(X)
     lambda_main = float(ss.value) * L.p ** (L.d - L.m)
@@ -153,14 +161,17 @@ def lambda_balanced_correlation(a: CharacterIndex, shape: GroupShape) -> dict:
         raise ArgumentError("single-prime shapes only")
     p = shape.primes[0]
     X = shape.X
-    table = sieve("von_mangoldt", X)
+    chunks = _von_mangoldt_chunks(X, CHUNK)
     weight = float(nu_p_weight(1, p))
     chars = _char_reader(a, shape)
+    diff, out = np.empty(min(CHUNK, X)), np.empty(min(CHUNK, X), dtype=np.complex128)
 
     def balanced(lo: int, n: int) -> np.ndarray:
-        nu = np.full(n, weight)
-        nu[-lo % p :: p] = 0.0
-        return (table.values[lo : lo + n] - nu) * chars.run(lo, n)
+        # Lambda - nu, where nu is weight off the multiples of p and 0 on them
+        lam = next(chunks)[1]
+        np.subtract(lam, weight, out=diff[:n])
+        diff[-lo % p : n : p] = lam[-lo % p :: p]
+        return np.multiply(diff[:n], chars.run(lo, n), out=out[:n])
 
     raw = _streamed_sum(X, balanced)
     return {"raw": raw, "normalized": raw / X, "X": X}

@@ -90,8 +90,8 @@ def _fold(rows: np.ndarray) -> np.ndarray:
 
 
 def _block_sums(arr: np.ndarray) -> np.ndarray:
-    """Pairwise sum of each 4096-entry block, the last one padded with 0."""
-    arr = np.asarray(arr, dtype=np.complex128)
+    """Pairwise sums of 4096-entry blocks, the last padded with 0; float64 for real arr."""
+    arr = np.asarray(arr, dtype=np.complex128 if np.iscomplexobj(arr) else np.float64)
     pad = (-arr.size) % SUM_BLOCK
     if pad:
         arr = np.concatenate([arr, np.zeros(pad, dtype=arr.dtype)])
@@ -596,6 +596,13 @@ def _additive_coefficient(read, theta: Fraction, X: int) -> complex:
     return _streamed_sum(X, lambda lo, n: read(lo, n) * phases.run(lo, n)) / X
 
 
+def katai_preflight(budget: int, X: int) -> None:
+    """The check of katai_witness's budget, which needs no table: the CLI
+    makes it before it sieves."""
+    if budget < X:
+        raise ArgumentError(f"--budget {budget} is below X = {X}: no candidate fits")
+
+
 def katai_witness(table, a: CharacterIndex, shape: GroupShape,
                   delta: float | None = None, budget: int = 10**7):
     """Search for theta = sum s_{i,j} / p_i^(j+1) with support inside the
@@ -606,8 +613,7 @@ def katai_witness(table, a: CharacterIndex, shape: GroupShape,
     0, 1, -1, 2, -2, ... at each.  Budget counts streamed point
     evaluations (X per candidate), so it must be at least X.
     """
-    if budget < shape.X:
-        raise ArgumentError(f"budget {budget} is below X = {shape.X}: no candidate fits")
+    katai_preflight(budget, shape.X)
     read = _reader(table, shape.X)
     observed = abs(correlation(table, a, shape))
     if delta is None:

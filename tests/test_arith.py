@@ -8,8 +8,10 @@ from fractions import Fraction
 from hypothesis import example, given, settings, strategies as st
 
 from mspec import sieve, nu_p_weight, dump_table, load_table
-from mspec.arith import SEGMENT_SIZE, _word, memory_cap, primes_up_to, is_prime
+from mspec.arith import (SEGMENT_SIZE, _von_mangoldt_chunks, _word, memory_cap, primes_up_to,
+                         is_prime)
 from mspec.errors import ArgumentError, ResourceError
+from mspec.group import CHUNK
 
 from conftest import brute_force_factor
 
@@ -283,6 +285,28 @@ def test_prime_power_pairs_independent_of_segment_size():
         assert np.array_equal(t.values, ref.values)
         assert np.array_equal(t.pp_prime, ref.pp_prime)
         assert np.array_equal(t.pp_exp, ref.pp_exp)
+
+
+@pytest.mark.parametrize("limit", [1, 2, 3, CHUNK - 1, CHUNK + 1, 547**2 + 1, 3**12])
+def test_von_mangoldt_chunks_are_slices_of_the_sieve(limit):
+    """The chunk reader's Lambda and prime offsets, run by run, are the
+    sieve's values and its exponent-1 entries on that run."""
+    table = sieve("von_mangoldt", limit)
+    starts = []
+    for lo, lam, offsets in _von_mangoldt_chunks(limit, CHUNK):
+        starts.append(lo)
+        want = table.values[lo : lo + CHUNK]
+        assert lam.dtype == np.float64 and lam.tobytes() == want.tobytes()
+        assert np.array_equal(offsets, np.flatnonzero(table.pp_exp[lo : lo + CHUNK] == 1))
+    assert starts == list(range(0, limit, CHUNK))
+
+
+def test_von_mangoldt_chunks_check_as_the_sieve_before_reading(monkeypatch):
+    with pytest.raises(ArgumentError, match="limit must be >= 1"):
+        _von_mangoldt_chunks(0, CHUNK)
+    monkeypatch.setenv("MSPC_MEM_CAP", "100")
+    with pytest.raises(ResourceError, match="limit 101 exceeds memory cap 100"):
+        _von_mangoldt_chunks(101, CHUNK)
 
 
 def test_pp_prime_width():

@@ -69,7 +69,8 @@ def test_spectrum_top_matches_stable_sort(text, table, top, capsys, monkeypatch)
     code, rec = run_json(["spectrum", "--shape", text, "--function", table,
                           "--top", str(top)], capsys)
     assert code == 0
-    mags = np.abs(group_spectrum(values, shape).coeffs)
+    coeffs = group_spectrum(values, shape).coeffs
+    mags = np.hypot(coeffs.real, coeffs.imag)  # the plot's magnitude column
     want = np.argsort(-mags, kind="stable")[:top]
     assert [t["flat"] for t in rec["result"]["top"]] == want.tolist()
 
@@ -301,6 +302,34 @@ def test_katai_cli_refuses_a_budget_below_x(capsys):
     captured = capsys.readouterr()
     assert captured.out == "" and "budget" in captured.err
     assert "Traceback" not in captured.err
+
+
+def test_katai_refuses_the_budget_before_it_sieves(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("sieved a table for a budget below X")
+
+    monkeypatch.setattr(mspec.cli, "sieve", refuse)
+    assert run_command(["katai", "--shape", "2^24"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--budget 10000000 is below X = 16777216" in captured.err
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("text", ["3^7", "2^2*3^2*5*7", "3^9"])
+def test_spectrum_top_agrees_with_its_plot(text, tmp_path, capsys):
+    """The record's top 200 are the plot's 200 largest magnitudes, ties to
+    the smaller index, with the same values: np.abs, which differs from
+    np.hypot in the last bit on about a third of them, only picks the
+    candidates."""
+    path = tmp_path / "plot.csv"
+    code, rec = run_json(["spectrum", "--shape", text, "--top", "200",
+                          "--plot-data", str(path)], capsys)
+    assert code == 0
+    mags = np.loadtxt(path, delimiter=",", skiprows=1, usecols=3)
+    order = np.argsort(-mags, kind="stable")[:200]
+    top = rec["result"]["top"]
+    assert [t["flat"] for t in top] == order.tolist()
+    assert [t["magnitude"] for t in top] == mags[order].tolist()
 
 
 def test_seed_recorded(capsys):

@@ -127,7 +127,28 @@ def test_digit_condition_equals_the_whole_array_count(text):
         in_fiber = _fiber_reference(L, b, shape)
         out = count_primes_digit_condition(L, b, shape)
         assert out["count"] == int(np.count_nonzero((table.pp_exp == 1) & in_fiber))
-        assert out["lambda_sum"] == float(table.values[in_fiber].sum())
+        assert out["lambda_sum"] == block_pairwise_sum(table.values * in_fiber).real
+
+
+@pytest.mark.parametrize("text", ["2^20", "3^13", "2^22"])
+def test_von_mangoldt_sums_hold_no_table(text):
+    """Both digital-PNT sums read Lambda a chunk at a time from one sieve
+    segment: the peak is the segment and chunk scratch, at most 3 MiB at
+    every X and so at most 1 B/X from 2^22 on, where the whole von Mangoldt
+    table and the X-sized masks held 14 to 16 B/X."""
+    shape = parse_shape(text)
+    p, d = shape.primes[0], shape.exponents[0]
+    L = make_linear_map(p, [[1] * d, [0, 1] * (d // 2) + [0] * (d % 2)])
+    a = CharacterIndex.from_flat(12345, shape)
+    for call in (lambda: count_primes_digit_condition(L, [1, 0], shape),
+                 lambda: lambda_balanced_correlation(a, shape)):
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 << 20
 
 
 def test_correlation_on_2_20_holds_chunks_not_the_table():
