@@ -198,9 +198,7 @@ def _sieve_von_mangoldt(limit: int, segment_size: int):
     pp_prime = np.zeros(limit, dtype=_word(limit))
     pp_exp = np.zeros(limit, dtype=np.uint8)
     for _, primes in _segment_primes(limit, segment_size, segment_size):
-        values[primes] = np.log(primes)
-        pp_prime[primes] = primes
-        pp_exp[primes] = 1
+        values[primes], pp_prime[primes], pp_exp[primes] = np.log(primes), primes, 1
     q, p, k, log_p = _prime_powers(limit)
     values[q], pp_prime[q], pp_exp[q] = log_p, p, k
     return ArithmeticTable("von_mangoldt", limit, values, pp_prime, pp_exp)
