@@ -3,8 +3,10 @@
 Tables are dense over [0, X) with the convention that index 0 carries
 value 0 for every kind.  All sieves run segmented (segment size 2**19)
 so results are identical regardless of table size, and each segment's
-scratch rows are allocated once per call and stay in cache.  Von Mangoldt
-Lambda is also streamed from its segments a chunk at a time, with no table.
+scratch rows are allocated once per call and stay in cache.  Every prime
+list, primes_up_to's and the root primes of each sieve among them, comes
+from the one segmented prime sieve, _segment_primes.  Von Mangoldt Lambda
+is also streamed from its segments a chunk at a time, with no table.
 
 The Möbius and Liouville kernel works on strided slices ``[start::q]``
 of one signed accumulator, one slice per root prime power q, with no
@@ -30,6 +32,8 @@ import numpy as np
 from .errors import ArgumentError, ResourceError
 
 SEGMENT_SIZE = 1 << 19
+# largest table, in table entries, that sieve builds unless its mem_cap says
+# otherwise, and that load_table reads; read at call time
 DEFAULT_MEM_CAP = 1 << 31
 
 KINDS = ("mobius", "liouville", "von_mangoldt", "square_indicator")
@@ -40,31 +44,11 @@ _MAGIC = b"MSPC"
 _LOAD_CHUNK = 1 << 16
 
 
-def memory_cap() -> int:
-    """Largest table, in table entries, that sieve builds; MSPC_MEM_CAP
-    overrides it in the same unit."""
-    env = os.environ.get("MSPC_MEM_CAP")
-    if env is None:
-        return DEFAULT_MEM_CAP
-    try:
-        cap = int(env)
-    except ValueError:
-        cap = 0
-    if cap < 1:
-        raise ArgumentError(f"MSPC_MEM_CAP must be a positive integer, got {env!r}")
-    return cap
-
-
 def primes_up_to(n: int) -> np.ndarray:
-    """All primes <= n as an int64 array (empty for n < 2)."""
+    """All primes <= n as an int64 array (empty for n < 2), from the segmented sieve."""
     if n < 2:
         return np.empty(0, dtype=np.int64)
-    mask = np.ones(n + 1, dtype=bool)
-    mask[:2] = False
-    for p in range(2, math.isqrt(n) + 1):
-        if mask[p]:
-            mask[p * p :: p] = False
-    return np.flatnonzero(mask).astype(np.int64)
+    return np.concatenate([p for _, p in _segment_primes(n + 1, SEGMENT_SIZE, SEGMENT_SIZE)])
 
 
 def is_prime(n: int) -> bool:
@@ -225,10 +209,7 @@ def _von_mangoldt_chunks(limit: int, chunk: int):
 
 def _sieve_squares(limit: int) -> np.ndarray:
     values = np.zeros(limit, dtype=np.int8)
-    r = 1
-    while r * r < limit:
-        values[r * r] = 1
-        r += 1
+    values[np.arange(1, math.isqrt(limit - 1) + 1) ** 2] = 1
     return values
 
 
@@ -236,7 +217,7 @@ def _check_sieve(kind: str, limit: int, segment_size: int, mem_cap: int | None) 
     # sieve()'s argument and cap checks, which _von_mangoldt_chunks makes too
     if kind not in KINDS:
         raise ArgumentError(f"unknown function kind {kind!r}; expected one of {KINDS}")
-    cap = memory_cap() if mem_cap is None else mem_cap
+    cap = DEFAULT_MEM_CAP if mem_cap is None else mem_cap
     if limit < 1:
         raise ArgumentError(f"limit must be >= 1, got {limit}")
     if segment_size < 1:
@@ -325,10 +306,9 @@ def load_table(path: str) -> ArithmeticTable:
         if code >= len(KINDS):
             raise ArgumentError(f"unknown kind code {code} in table dump")
         kind = KINDS[code]
-        cap = memory_cap()
-        if limit > cap:
+        if limit > DEFAULT_MEM_CAP:
             raise ResourceError(f"table dump header says {limit} entries; "
-                                f"memory cap is {cap} entries")
+                                f"memory cap is {DEFAULT_MEM_CAP} entries")
         dtype = np.dtype("<f8" if kind == "von_mangoldt" else np.int8)
         chunks = payload_chunks(fh, limit, dtype, _LOAD_CHUNK)
         if kind == "von_mangoldt":

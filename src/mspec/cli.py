@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import time
 
@@ -74,20 +73,23 @@ def _cnum(z) -> dict:
     return {"re": float(np.real(z)), "im": float(np.imag(z))}
 
 
-def _function_values(name: str, X: int) -> np.ndarray:
-    """The sieved table of function ``name`` on [0, X), in the sieve's dtype."""
+def _function_values(name: str, X: int, mem_cap: int | None = None) -> np.ndarray:
+    """The sieved table of function ``name`` on [0, X), in the sieve's dtype,
+    under the sieve's cap or ``mem_cap``."""
     kind = _FUNCTION_ALIASES.get(name)
     if kind is None:
         raise ArgumentError(f"unknown function {name!r}; expected one of "
                             f"{sorted(_FUNCTION_ALIASES)}")
-    return sieve(kind, X).values
+    return sieve(kind, X, mem_cap=mem_cap).values
 
 
 def _check_cap(args, X: int, cap=None) -> None:
-    """Refuse X above ``cap``, the cap of the library call the table feeds
-    (None: the sieve's own cap, which the sieve checks)."""
+    """Refuse X above ``cap``, the cap of the library call that X's table
+    feeds (None: no such cap), or X entries above --mem-cap."""
     if cap is not None and X > cap:
         raise ResourceError(f"X = {X} exceeds the {args.command} cap {cap}")
+    if args.mem_cap is not None and X > args.mem_cap:
+        raise ResourceError(f"{X} entries exceed --mem-cap {args.mem_cap}")
 
 
 def _table(args, shape: GroupShape, cap=None, group=()) -> np.ndarray:
@@ -96,7 +98,7 @@ def _table(args, shape: GroupShape, cap=None, group=()) -> np.ndarray:
     call, made only once shape.X and the X of each shape in ``group`` pass
     _check_cap."""
     _check_cap(args, max(s.X for s in (shape, *group)), cap)
-    return _function_values(args.function, shape.X)
+    return _function_values(args.function, shape.X, args.mem_cap)
 
 
 def _top_magnitudes(coeffs: np.ndarray, k: int, start: int = 0):
@@ -132,7 +134,7 @@ def _add_common(p: argparse.ArgumentParser, shape=True, function=True, plot=Fals
     if plot:
         p.add_argument("--plot-data", dest="plot_data", help="CSV output path")
     p.add_argument("--mem-cap", dest="mem_cap", type=_positive_int,
-                   help="override the memory cap, in table entries")
+                   help="largest table the run may sieve or stream, in table entries")
 
 
 def _int(text: str, low=None) -> int:
@@ -212,7 +214,7 @@ def _row_columns(rows: list):
 
 
 def _cmd_sieve(args):
-    table = sieve(_FUNCTION_ALIASES[args.function], args.limit)
+    table = sieve(_FUNCTION_ALIASES[args.function], args.limit, mem_cap=args.mem_cap)
     values = table.values  # sums of the int8 kinds are exact in float64
     if args.dump:
         dump_table(table, args.dump)
@@ -320,6 +322,7 @@ def _cmd_digital_pnt(args):
             raise ArgumentError(f"{flag} holds digit {max(digits)}, not below --p {args.p}")
     L = make_linear_map(args.p, rows)
     shape = GroupShape([args.p], [args.d])
+    _check_cap(args, shape.X)
     out = count_primes_digit_condition(L, args.b, shape)
     ss = out.pop("singular_series")
     out["singular_series"] = ss.record()
@@ -329,12 +332,15 @@ def _cmd_digital_pnt(args):
 def _cmd_lambda_balance(args):
     shape = parse_shape(args.shape)
     a = CharacterIndex.from_flat(args.char, shape)
+    _check_cap(args, shape.X)
     out = lambda_balanced_correlation(a, shape)
     return {"char": args.char, "raw": _cnum(out["raw"]),
             "normalized": _cnum(out["normalized"]), "X": out["X"]}
 
 
 def _cmd_covariance(args):
+    if args.X >= 2:  # the table the mode sieves; a smaller X is the library's argument error
+        _check_cap(args, args.X + 1 if args.mode == "formula" else args.X**2 + 1)
     out = binary_mult_covariance(args.X, args.mode)
     if args.mode == "formula":
         eigen = out["eigen"]
@@ -492,9 +498,6 @@ def run_command(argv) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    saved_cap = os.environ.get("MSPC_MEM_CAP")
-    if args.mem_cap is not None:
-        os.environ["MSPC_MEM_CAP"] = str(args.mem_cap)
     start = time.perf_counter()
     try:
         result = args.handler(args)
@@ -520,12 +523,6 @@ def run_command(argv) -> int:
     except (MspecError, OSError) as exc:  # OSError: only --out, --plot-data and --dump open files
         print(f"error: {exc}", file=sys.stderr)
         return 3 if isinstance(exc, ResourceError) else 2
-    finally:
-        if args.mem_cap is not None:
-            if saved_cap is None:
-                os.environ.pop("MSPC_MEM_CAP", None)
-            else:
-                os.environ["MSPC_MEM_CAP"] = saved_cap
     return 0
 
 

@@ -7,9 +7,8 @@ import pytest
 from fractions import Fraction
 from hypothesis import example, given, settings, strategies as st
 
-from mspec import sieve, nu_p_weight, dump_table, load_table
-from mspec.arith import (SEGMENT_SIZE, _von_mangoldt_chunks, _word, memory_cap, primes_up_to,
-                         is_prime)
+from mspec import arith, sieve, nu_p_weight, dump_table, load_table
+from mspec.arith import SEGMENT_SIZE, _von_mangoldt_chunks, _word, primes_up_to, is_prime
 from mspec.errors import ArgumentError, ResourceError
 from mspec.group import CHUNK
 
@@ -153,13 +152,6 @@ def test_sieve_refuses_segment_size_below_1(kind, segment_size):
         sieve(kind, 20, segment_size=segment_size)
 
 
-def test_memory_cap_env(monkeypatch):
-    monkeypatch.setenv("MSPC_MEM_CAP", "123")
-    assert memory_cap() == 123
-    with pytest.raises(ResourceError):
-        sieve("mobius", 200)
-
-
 def test_nu_p_weight():
     assert nu_p_weight(7, 3) == Fraction(3, 2)
     assert nu_p_weight(9, 3) == 0
@@ -173,6 +165,36 @@ def test_primality_helpers():
     assert ps[0] == 2 and ps[-1] == 97 and len(ps) == 25
     for n in range(200):
         assert is_prime(n) == (n in set(map(int, primes_up_to(200))))
+
+
+def _eratosthenes(n: int) -> np.ndarray:
+    """Primes <= n from one unsegmented bool row: a reference that shares
+    nothing with the segmented sieve."""
+    mask = np.ones(n + 1, dtype=bool)
+    mask[:2] = False
+    for p in range(2, math.isqrt(n) + 1):
+        if mask[p]:
+            mask[p * p :: p] = False
+    return np.flatnonzero(mask)
+
+
+@pytest.mark.parametrize("n", [SEGMENT_SIZE - 1, SEGMENT_SIZE, SEGMENT_SIZE + 1,
+                               2 * SEGMENT_SIZE + 7])
+def test_primes_up_to_across_segment_edges(n):
+    got = primes_up_to(n)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, _eratosthenes(n))
+    # the entries within 64 of each segment edge, by the Miller-Rabin test as well
+    for edge in range(0, n + 1, SEGMENT_SIZE):
+        lo, hi = max(edge - 64, 0), min(edge + 64, n + 1)
+        want = [m for m in range(lo, hi) if is_prime(m)]
+        assert got[(got >= lo) & (got < hi)].tolist() == want
+
+
+@pytest.mark.parametrize("n", [-1, 0, 1])
+def test_primes_up_to_below_2_is_empty(n):
+    got = primes_up_to(n)
+    assert got.dtype == np.int64 and got.size == 0
 
 
 def test_dump_load_roundtrip(tmp_path):
@@ -220,7 +242,7 @@ def test_load_refuses_header_above_cap(tmp_path, monkeypatch):
         fh.write((1 << 40).to_bytes(8, "little"))
     with pytest.raises(ResourceError, match="memory cap"):
         load_table(path)
-    monkeypatch.setenv("MSPC_MEM_CAP", "999")
+    monkeypatch.setattr(arith, "DEFAULT_MEM_CAP", 999)
     dump_table(sieve("mobius", 1000, mem_cap=1000), path)
     with pytest.raises(ResourceError, match="memory cap is 999"):
         load_table(path)
@@ -304,7 +326,7 @@ def test_von_mangoldt_chunks_are_slices_of_the_sieve(limit):
 def test_von_mangoldt_chunks_check_as_the_sieve_before_reading(monkeypatch):
     with pytest.raises(ArgumentError, match="limit must be >= 1"):
         _von_mangoldt_chunks(0, CHUNK)
-    monkeypatch.setenv("MSPC_MEM_CAP", "100")
+    monkeypatch.setattr(arith, "DEFAULT_MEM_CAP", 100)
     with pytest.raises(ResourceError, match="limit 101 exceeds memory cap 100"):
         _von_mangoldt_chunks(101, CHUNK)
 

@@ -8,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import mspec.arith
 import mspec.cli
 import mspec.learning
 import mspec.spectral
@@ -62,7 +63,7 @@ def test_spectrum_top_matches_stable_sort(text, table, top, capsys, monkeypatch)
     if table == "character":
         chi = CharacterIndex.from_flat(37, shape)
         values = np.real(char_values(chi, shape))
-        monkeypatch.setattr(mspec.cli, "_function_values", lambda name, X: values)
+        monkeypatch.setattr(mspec.cli, "_function_values", lambda name, X, mem_cap: values)
         table = "mobius"
     else:
         values = mspec.cli._function_values(table, shape.X)
@@ -465,15 +466,6 @@ def test_nonpositive_counts_rejected_by_library():
             MlpModel(shape, hidden)
 
 
-@pytest.mark.parametrize("value", ["abc", "0", "-5", "1.5"])
-def test_bad_mem_cap_env_exits_2(value, capsys, monkeypatch):
-    monkeypatch.setenv("MSPC_MEM_CAP", value)
-    assert run_command(["sieve", "--limit", "10"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "MSPC_MEM_CAP" in captured.err and "Traceback" not in captured.err
-
-
 def test_program_errors_are_not_exit_codes(monkeypatch):
     def broken(*args, **kwargs):
         raise ValueError("a program bug")
@@ -515,6 +507,68 @@ def test_caps_refuse_before_the_sieve(argv, cap, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"cap {cap}" in captured.err and "Traceback" not in captured.err
+
+
+# commands that sieve or stream with no CLI table, and the entries they read
+STREAMING_RUNS = [
+    (["digital-pnt", "--p", "3", "--d", "7", "--L", "0100000", "--b", "1"], 3**7),
+    (["lambda-balance", "--shape", "3^7", "--char", "5"], 3**7),
+    (["covariance", "--X", "1000"], 1001),
+    (["covariance", "--X", "30", "--mode", "explicit"], 30**2 + 1),
+]
+STREAMING_IDS = ["digital-pnt", "lambda-balance", "covariance-formula", "covariance-explicit"]
+
+
+@pytest.mark.parametrize("argv,entries", STREAMING_RUNS, ids=STREAMING_IDS)
+def test_mem_cap_refuses_streaming_commands_before_they_sieve(argv, entries, capsys,
+                                                             monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("sieved for a run that --mem-cap must refuse")
+
+    for module, name in ((mspec.arith, "_segment_primes"), (mspec.arith, "sieve"),
+                         (mspec.learning, "sieve"), (mspec.cli, "sieve")):
+        monkeypatch.setattr(module, name, refuse)
+    assert run_command(argv + ["--mem-cap", str(entries - 1)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{entries} entries exceed --mem-cap {entries - 1}" in captured.err
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("argv,entries", STREAMING_RUNS, ids=STREAMING_IDS)
+def test_mem_cap_at_the_length_leaves_the_result(argv, entries, capsys):
+    code, plain = run_json(argv, capsys)
+    assert code == 0
+    code, capped = run_json(argv + ["--mem-cap", str(entries)], capsys)
+    assert code == 0 and capped["result"] == plain["result"]
+
+
+def test_mem_cap_reaches_the_sieve_as_its_argument(capsys, monkeypatch):
+    # a --mem-cap above the sieve's default admits a larger table where the
+    # CLI sieves, and does not lift the library's own check where it streams
+    monkeypatch.setattr(mspec.arith, "DEFAULT_MEM_CAP", 100)
+    for argv in (["sieve", "--limit", "243"], ["spectrum", "--shape", "3^5"],
+                 ["correlate", "--shape", "3^5", "--char", "7"]):
+        assert run_command(argv) == 3
+        assert run_command(argv + ["--mem-cap", "243"]) == 0
+    assert run_command(["lambda-balance", "--shape", "3^5", "--mem-cap", "243"]) == 3
+    captured = capsys.readouterr()
+    assert "limit 243 exceeds memory cap 100 entries" in captured.err
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["sieve", "--limit", "100", "--mem-cap", "100"], 0),
+    (["sieve", "--limit", "0", "--mem-cap", "100"], 2),
+    (["sieve", "--limit", "100", "--mem-cap", "10"], 3),
+])
+def test_run_command_leaves_the_environment(argv, code, capsys, monkeypatch):
+    # a variable of the cap's old name is only part of the environment
+    monkeypatch.setenv("MSPC_MEM_CAP", "5")
+    before = dict(os.environ)
+    assert run_command(argv) == code
+    assert dict(os.environ) == before
+    capsys.readouterr()
 
 
 def test_csq_samples_times_q_over_the_cap_exits_3(capsys, monkeypatch):

@@ -80,7 +80,7 @@ def _table_dump_is_sound(data):
     if len(data) < 16 or data[:4] != b"MSPC":
         return False
     code, limit = struct.unpack("<B3xQ", data[4:16])
-    if code >= len(arith.KINDS) or limit > arith.memory_cap():
+    if code >= len(arith.KINDS) or limit > arith.DEFAULT_MEM_CAP:
         return False
     kind = arith.KINDS[code]
     width = 8 if kind == "von_mangoldt" else 1

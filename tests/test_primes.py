@@ -89,6 +89,15 @@ def test_count_partition():
     assert total == pi_of(s.X)
 
 
+@pytest.mark.parametrize("X,count", [
+    (2**10, 172), (3**6, 129), (2**2 * 3**2 * 5, 41), (5**4, 114),  # criterion 01
+    (3**11, 16097),  # criterion 07
+    (2**20, 82025),
+])
+def test_pi_of_on_the_acceptance_shapes(X, count):
+    assert pi_of(X) == count
+
+
 def test_lambda_sum_accounting():
     # Lambda-weighted fiber sums add up to the full Chebyshev sum
     s = GroupShape([3], [5])
